@@ -37,16 +37,6 @@ dense batched kernel on a noisy machine::
         --slope 24,40,64,96 --backend fourrussians \\
         --merge-baseline benchmarks/BENCH_kernels_baseline.json
 
-Codegen mode (``--codegen``) sweeps every generated (schedule × tile)
-variant — the same grid ``bpmax tune --joint`` searches — plus the
-joint-tuned ``generated`` backend over a ladder of square sizes, against
-the ``numpy-batched`` denominator, and records the best variant per
-size.  This is how the committed ``BENCH_codegen.json`` artifact is
-made::
-
-    PYTHONPATH=src python benchmarks/bench_kernel_backends.py \\
-        --codegen 24,40,60 --out benchmarks/BENCH_codegen.json
-
 Semiring mode (``--semiring logsumexp``) times the log-partition
 (BPPart) workload instead of max-plus: only backends declaring the
 semiring are timed, scores agree within the corpus tolerance rather
@@ -274,120 +264,6 @@ def run_slope(
     }
 
 
-def run_codegen(
-    sizes: list[int],
-    repeats: int = 3,
-    seed: int = 99,
-    threads: int = 1,
-    tiles: list[int] | None = None,
-) -> dict:
-    """Time every generated (schedule × tile) variant over square sizes.
-
-    Per size the grid is the joint autotuner's: each shipped schedule at
-    each candidate column tile (``tiles`` overrides the ladder — the
-    smoke test narrows it), each wrapped in a pinned backend, plus the
-    registered ``generated`` backend resolving through the joint tune
-    cache.  ``numpy-batched`` is the denominator; ``tiled`` rides along
-    for context.  Rounds are interleaved as in :func:`run_bench`, scores
-    must be bit-identical (max-plus), and the per-size ``best_generated``
-    block names the winning variant so the committed artifact documents
-    *which* schedule wins where, not just that one does.
-    """
-    from repro.kernels import make_pinned_backend
-    from repro.polyhedral.codegen.vectorize import (
-        candidate_schedules,
-        candidate_tiles,
-    )
-
-    sizes = sorted(set(sizes))
-    out: dict = {
-        "mode": "codegen",
-        "repeats": repeats,
-        "seed": seed,
-        "threads": threads,
-        "semiring": "max-plus",
-        "sizes": {},
-        "wins_vs_numpy_batched": [],
-    }
-    for size in sizes:
-        s1, s2 = random_pair(size, size, seed)
-        inputs = prepare_inputs(s1, s2)
-        m = inputs.m
-        grid = {
-            f"generated:{ks.name}:wj{wj}": make_pinned_backend(ks.name, wj)
-            for ks in candidate_schedules()
-            for wj in (tiles if tiles is not None else candidate_tiles(m))
-        }
-        contenders: dict[str, object] = {"numpy-batched": "numpy-batched"}
-        if "tiled" in BACKENDS and BACKENDS["tiled"].available:
-            contenders["tiled"] = "tiled"
-        contenders["generated"] = "generated"
-        contenders.update(grid)
-        times = {name: float("inf") for name in contenders}
-        ref_score = None
-        for name, bk in contenders.items():  # untimed warm round
-            _time_once(inputs, variant="batched", backend=bk, threads=threads)
-        for _ in range(repeats):
-            for name, bk in contenders.items():
-                t, s = _time_once(
-                    inputs, variant="batched", backend=bk, threads=threads
-                )
-                times[name] = min(times[name], t)
-                if ref_score is None:
-                    ref_score = s
-                elif s != ref_score:
-                    raise AssertionError(
-                        f"codegen sweep at {size}x{size}: backend {name} "
-                        f"score {s} != {ref_score}"
-                    )
-        nb = times["numpy-batched"]
-        speedups = {
-            name: (nb / t if t > 0 else 0.0) for name, t in times.items()
-        }
-        gen_names = [n for n in times if n.startswith("generated")]
-        best = max(gen_names, key=lambda n: speedups[n])
-        key = f"{size}x{size}"
-        out["sizes"][key] = {
-            "n": size,
-            "m": size,
-            "score": ref_score,
-            "times": times,
-            "speedup_vs_numpy_batched": speedups,
-            "best_generated": {
-                "variant": best,
-                "seconds": times[best],
-                "speedup_vs_numpy_batched": speedups[best],
-            },
-        }
-        if speedups[best] >= 1.0:
-            out["wins_vs_numpy_batched"].append(key)
-    return out
-
-
-def render_codegen(results: dict) -> str:
-    lines = [
-        f"generated kernels vs numpy-batched, threads={results['threads']}, "
-        f"best of {results['repeats']} (interleaved)",
-        f"{'variant':28s} "
-        + " ".join(f"{k:>12s}" for k in results["sizes"]),
-    ]
-    names = sorted(
-        {n for sz in results["sizes"].values() for n in sz["times"]}
-    )
-    for name in names:
-        cells = []
-        for sz in results["sizes"].values():
-            sp = sz["speedup_vs_numpy_batched"].get(name)
-            mark = "*" if sz["best_generated"]["variant"] == name else " "
-            cells.append(f"{sp:11.2f}x{mark}" if sp is not None else " " * 13)
-        lines.append(f"{name:28s} " + " ".join(cells))
-    lines.append(
-        "(* best generated variant per size; sizes where it beats "
-        f"numpy-batched: {results['wins_vs_numpy_batched'] or 'none'})"
-    )
-    return "\n".join(lines)
-
-
 def merge_slope(results: dict, baseline_path: Path) -> None:
     """Insert one slope run under the baseline file's ``slopes`` section."""
     baseline = (
@@ -536,13 +412,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fit log(time) vs log(M) per backend over these inner sizes "
         "instead of timing one size (the exponent-comparison mode)",
     )
-    p.add_argument(
-        "--codegen",
-        metavar="S1,S2,...",
-        help="sweep every generated (schedule x tile) variant over these "
-        "square sizes against numpy-batched (writes the BENCH_codegen "
-        "artifact shape)",
-    )
     p.add_argument("--out", metavar="PATH", help="write results JSON here")
     p.add_argument(
         "--merge-baseline",
@@ -577,26 +446,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.skip_oracle:
         verify_against_oracle(semiring=args.semiring)
-    if args.codegen:
-        if get_semiring(args.semiring).name != "max-plus":
-            raise SystemExit(
-                "--codegen mode is max-plus only (scores are cross-checked "
-                "bit-identically per size)"
-            )
-        try:
-            sizes = sorted({int(x) for x in args.codegen.split(",") if x.strip()})
-        except ValueError as exc:
-            raise SystemExit(
-                f"--codegen must be comma-separated integers: {exc}"
-            ) from exc
-        results = run_codegen(
-            sizes, repeats=args.repeats, seed=args.seed, threads=args.threads
-        )
-        print(render_codegen(results))
-        if args.out:
-            Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-            print(f"wrote {args.out}")
-        return 0
     if args.slope:
         if get_semiring(args.semiring).name != "max-plus":
             raise SystemExit(
@@ -681,23 +530,6 @@ def test_backends_benchmark_slope_smoke(tmp_path):
     assert render_slope(results)
 
 
-def test_backends_benchmark_codegen_smoke(tmp_path, monkeypatch):
-    """--codegen path: grid is timed, best variant named, wins recorded."""
-    monkeypatch.setenv("BPMAX_CODEGEN_CACHE", str(tmp_path / "codegen"))
-    results = run_codegen([6, 9], repeats=1, seed=3, tiles=[0])
-    assert set(results["sizes"]) == {"6x6", "9x9"}
-    for sz in results["sizes"].values():
-        assert {"numpy-batched", "generated", "generated:kmajor:wj0",
-                "generated:smajor:wj0"} <= set(sz["times"])
-        best = sz["best_generated"]
-        assert best["variant"].startswith("generated")
-        assert best["speedup_vs_numpy_batched"] > 0
-    assert "numpy-batched" in render_codegen(results)
-    out = tmp_path / "BENCH_codegen.json"
-    out.write_text(json.dumps(results))
-    assert json.loads(out.read_text())["mode"] == "codegen"
-
-
 def test_backends_benchmark_logsumexp_smoke(capsys):
     """--semiring logsumexp path: max-plus-only backends are skipped, the
     timed ones agree with the log-partition oracle within tolerance."""
@@ -705,8 +537,7 @@ def test_backends_benchmark_logsumexp_smoke(capsys):
     results = run_bench(6, 8, repeats=1, seed=3, semiring="log-sum-exp")
     assert results["semiring"] == "logsumexp"  # canonicalized
     assert results["backends"], "no logsumexp-capable backends were timed"
-    for name in ("fourrussians", "numba"):
-        assert name not in results["backends"]  # max-plus-only, skipped
+    assert "fourrussians" not in results["backends"]  # max-plus-only, skipped
     assert "semiring=logsumexp" in render(results)
     err = capsys.readouterr().err
     if "fourrussians" in BACKENDS:

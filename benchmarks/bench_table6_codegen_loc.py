@@ -7,11 +7,7 @@ ordering and growth) and times the generators themselves.
 
 from repro.bench.figures import run_experiment
 from repro.core.alpha_model import bpmax_system, dmp_system, target_mapping_for
-from repro.polyhedral.codegen import (
-    generate_schedule_code,
-    generate_window_kernel,
-    generate_write_code,
-)
+from repro.polyhedral.codegen import generate_schedule_code, generate_write_code
 
 from conftest import emit
 
@@ -26,19 +22,6 @@ def test_table6_rows():
         loc["Double max-plus tiled (scheduled)"] > loc["Double max-plus (scheduled)"]
     )
     assert loc["BPMax hybrid (scheduled)"] >= loc["BPMax coarse (scheduled)"]
-    # the vectorized window kernels (what `--backend generated` runs)
-    # stay an order of magnitude below the statement-per-point programs,
-    # and column tiling adds code just as the paper's tiled row does
-    assert loc["Window kernel kmajor (vectorized)"] < loc["BPMax base (writeC)"]
-    assert (
-        loc["Window kernel kmajor tiled (vectorized)"]
-        > loc["Window kernel kmajor (vectorized)"]
-    )
-
-
-def test_window_kernel_generation_cost(benchmark):
-    src = benchmark(generate_window_kernel, "kmajor", 0)
-    assert "def make_kernel" in src
 
 
 def test_writec_generation_cost(benchmark):

@@ -12,7 +12,7 @@ Subpackages:
 * :mod:`repro.core` — BPMax engines, the mini-Alpha model, schedules;
 * :mod:`repro.semiring` — max-plus kernels and the stream micro-benchmark;
 * :mod:`repro.kernels` — pluggable kernel backends (``numpy``,
-  ``numpy-batched``, optional ``numba``, the ``tiled`` wavefront
+  ``numpy-batched``, ``fourrussians``, the ``tiled`` wavefront
   executor with its window-block autotuner) and the per-engine
   :class:`~repro.kernels.Workspace` scratch pool;
 * :mod:`repro.polyhedral` — the mini-AlphaZ framework (domains,

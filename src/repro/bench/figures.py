@@ -352,20 +352,6 @@ def table6_loc() -> ExperimentResult:
     sources["Double max-plus tiled (scheduled)"] = generate_schedule_code(
         sys_dmp, tiled_tm, "dmp_tiled"
     )
-    # the production window kernels the `generated` backend compiles —
-    # the same schedule -> code pipeline, emitted vectorized instead of
-    # statement-per-point, so they land far below the scheduled programs
-    from ..polyhedral.codegen.vectorize import generate_window_kernel
-
-    sources["Window kernel kmajor (vectorized)"] = generate_window_kernel(
-        "kmajor", 0
-    )
-    sources["Window kernel smajor (vectorized)"] = generate_window_kernel(
-        "smajor", 0
-    )
-    sources["Window kernel kmajor tiled (vectorized)"] = generate_window_kernel(
-        "kmajor", 16
-    )
     for name, src in sources.items():
         stats = count_loc(name, src)
         res.add(

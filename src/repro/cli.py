@@ -375,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--csv", metavar="DIR", help="also write <DIR>/<id>.csv")
 
     tn = sub.add_parser(
-        "tune", help="autotune a backend knob (tiled window-block width, "
-        "Four-Russians block width, or --joint generated schedule x tile)"
+        "tune", help="autotune a backend knob (tiled window-block width "
+        "or Four-Russians block width)"
     )
     tn.add_argument(
         "--backend",
@@ -384,13 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="tiled",
         help="which backend to tune: 'tiled' sweeps the window-block width, "
         "'fourrussians' jointly sweeps (block width q, sparsify on/off)",
-    )
-    tn.add_argument(
-        "--joint",
-        action="store_true",
-        help="jointly sweep the generated kernels' (schedule, column-tile) "
-        "grid and persist the winner the 'generated' backend replays; "
-        "--candidates then lists tile widths (0 = untiled)",
     )
     tn.add_argument("--n", type=int, default=40, help="outer strand length")
     tn.add_argument("--m", type=int, default=40, help="inner strand length")
@@ -468,9 +461,6 @@ def _cmd_backends() -> int:
         print(f"{'':15s}   {b.description}")
         print(f"{'':15s}   capabilities: {caps or '-'}")
         print(f"{'':15s}   semirings: {','.join(b.semirings)}")
-        if b.provenance:
-            prov = " ".join(f"{k}={v}" for k, v in sorted(b.provenance.items()))
-            print(f"{'':15s}   provenance: {prov}")
     return 0
 
 
@@ -485,13 +475,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise BpmaxError(f"--repeats must be >= 1, got {args.repeats}")
     backend = getattr(args, "backend", "tiled")
-    joint = getattr(args, "joint", False)
-    if joint and backend == "fourrussians":
-        raise BpmaxError(
-            "--joint sweeps the generated kernels; it cannot be combined "
-            "with --backend fourrussians"
-        )
-    if not joint and not BACKENDS[backend].available:
+    if not BACKENDS[backend].available:
         raise BpmaxError(
             f"{backend} backend unavailable on this machine "
             f"({BACKENDS[backend].note})"
@@ -506,18 +490,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             raise BpmaxError(
                 f"--candidates must be comma-separated integers: {exc}"
             ) from exc
-        if joint:
-            lo, hi = 0, args.m
-        else:
-            lo = 2 if backend == "fourrussians" else 1
-            hi = args.m if backend == "fourrussians" else args.n
+        lo = 2 if backend == "fourrussians" else 1
+        hi = args.m if backend == "fourrussians" else args.n
         if not candidates or any(w < lo or w > hi for w in candidates):
             raise BpmaxError(
                 f"--candidates must be values in [{lo}, {hi}], "
                 f"got {args.candidates!r}"
             )
-    if joint:
-        return _tune_joint(args, candidates)
     if backend == "fourrussians":
         return _tune_fourrussians(args, candidates)
     result = tune(
@@ -538,49 +517,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
           f"heuristic would pick {heuristic_block(args.n, args.m, args.threads)})")
     if result.cache_file:
         print(f"cache   : {result.cache_file} [{cache_key(args.n, args.m, args.threads)}]")
-    else:
-        print("cache   : not persisted (--no-persist)")
-    return 0
-
-
-def _tune_joint(args: argparse.Namespace, tiles: list[int] | None) -> int:
-    from .kernels.autotune import get_generated_config, tune_joint
-
-    try:
-        result = tune_joint(
-            args.n,
-            args.m,
-            threads=args.threads,
-            tiles=tiles,
-            repeats=args.repeats,
-            path=args.cache,
-            persist=not args.no_persist,
-        )
-    except ValueError as exc:
-        raise BpmaxError(str(exc)) from exc
-    print(f"key     : {result.key}")
-    print("schedule   tile_wj   wall_s")
-    for label in sorted(result.candidates):
-        sched, wj = label.split("|wj")
-        mark = (
-            "  <-- best"
-            if sched == result.best_schedule and int(wj) == result.best_wb
-            else ""
-        )
-        print(f"{sched:10s} {int(wj):7d}   {result.candidates[label]:.4f}{mark}")
-    print(
-        f"best    : schedule={result.best_schedule} wj={result.best_wb} "
-        f"({result.best_wall_s:.4f} s)"
-    )
-    if result.cache_file:
-        print(f"cache   : {result.cache_file} [{result.key}]")
-        sched, wj = get_generated_config(
-            args.n, args.m, args.threads, path=args.cache
-        )
-        print(
-            f"replay  : 'bpmax run --backend generated' at this size-class "
-            f"now compiles schedule={sched} wj={wj} from cache"
-        )
     else:
         print("cache   : not persisted (--no-persist)")
     return 0

@@ -310,12 +310,6 @@ class VectorizedBPMax:
         if self._fr is not None:
             self._fr.accumulate(self, i1, j1, acc)
             return
-        if self.backend.window_r0 is not None and self.threads == 1:
-            # slab-direct generated kernels accumulate the whole window
-            # straight off the packed table (zero-copy left operands);
-            # threaded runs keep the row-partitioned generic path below
-            self.backend.window_r0(self, i1, j1, acc)
-            return
         inp = self.inputs
         tri = self.table
         ws = self._ws

@@ -4,8 +4,7 @@ The R0 "double max-plus" reduction dominates BPMax's Θ(N³M³) runtime;
 this package makes its implementation a runtime choice:
 
 * :func:`get_backend` / :data:`BACKENDS` — the registry
-  (``numpy``, ``numpy-batched``, ``tiled``, ``fourrussians``, optional
-  ``numba`` with automatic fallback when the JIT is not installed);
+  (``numpy``, ``numpy-batched``, ``tiled``, ``fourrussians``);
 * :class:`Workspace` — the per-engine scratch pool that makes the
   per-window hot path allocation-free;
 * :data:`DEFAULT_BACKEND` — what engines use when none is named.
@@ -23,7 +22,6 @@ from .backend import (
     get_backend,
     register_backend,
 )
-from .numba_backend import HAVE_NUMBA
 from .numpy_backend import NUMPY_BACKEND, NUMPY_BATCHED_BACKEND
 from .tiled_backend import TILED_BACKEND, TiledExecutor
 from .fourrussians_tables import (
@@ -33,14 +31,7 @@ from .fourrussians_tables import (
     nussinov_fourrussians,
 )
 from .fourrussians_backend import FOURRUSSIANS_BACKEND, FourRussiansState
-from .autotune import get_generated_config, get_tile_shape, tune, tune_joint
-from .codegen_backend import (
-    GENERATED_BACKEND,
-    codegen_cache_dir,
-    codegen_cache_key,
-    get_window_kernel,
-    make_pinned_backend,
-)
+from .autotune import get_tile_shape, tune
 from .workspace import Workspace
 
 __all__ = [
@@ -51,7 +42,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "HAVE_NUMBA",
     "NUMPY_BACKEND",
     "NUMPY_BATCHED_BACKEND",
     "TILED_BACKEND",
@@ -64,11 +54,4 @@ __all__ = [
     "nussinov_fourrussians",
     "get_tile_shape",
     "tune",
-    "tune_joint",
-    "get_generated_config",
-    "GENERATED_BACKEND",
-    "codegen_cache_dir",
-    "codegen_cache_key",
-    "get_window_kernel",
-    "make_pinned_backend",
 ]

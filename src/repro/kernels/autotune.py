@@ -42,8 +42,6 @@ __all__ = [
     "default_candidates",
     "default_q_candidates",
     "fr_cache_key",
-    "get_generated_config",
-    "joint_cache_key",
     "machine_fingerprint",
     "size_class",
     "heuristic_block",
@@ -53,7 +51,6 @@ __all__ = [
     "save_entry",
     "tune",
     "tune_fourrussians",
-    "tune_joint",
 ]
 
 TUNE_CACHE_VERSION = 1
@@ -112,9 +109,9 @@ def machine_fingerprint() -> str:
     """A stable-enough identifier of the host *environment* for cache keying.
 
     Includes the numpy version and BLAS vendor alongside the hardware
-    identity: a tuned winner (or a compiled generated kernel) measured
-    under one numpy/BLAS pairing is stale under another, so an upgrade
-    must invalidate persisted entries instead of replaying them.
+    identity: a tuned winner measured under one numpy/BLAS pairing is
+    stale under another, so an upgrade must invalidate persisted entries
+    instead of replaying them.
     """
     global _FINGERPRINT
     if _FINGERPRINT is None:
@@ -149,11 +146,6 @@ def fr_cache_key(n: int, m: int, threads: int, d: int) -> str:
     verified difference bound ``d`` (tables and the best ``q`` depend on
     it, not just on the problem shape)."""
     return f"{cache_key(n, m, threads)}|fr|d{d}"
-
-
-def joint_cache_key(n: int, m: int, threads: int, dtype: str = "float32") -> str:
-    """Cache key of the joint schedule x tile sweep over generated kernels."""
-    return f"{cache_key(n, m, threads, dtype)}|joint"
 
 
 def heuristic_block(
@@ -238,12 +230,10 @@ class TuneResult:
     """Outcome of one autotuning sweep.
 
     ``param`` names the tuned knob (``"wb"`` for the tiled window-block
-    sweep, ``"fr_q"`` for the Four-Russians block-width sweep, ``"wj"``
-    for the generated-kernel joint sweep) and ``best_wb`` holds its
-    winning value either way; the Four-Russians sweep is joint over
-    ``(q, sparsify)`` and also reports ``best_sparsify``; the
-    generated-kernel sweep is joint over (schedule, tile) and also
-    reports ``best_schedule``.
+    sweep, ``"fr_q"`` for the Four-Russians block-width sweep) and
+    ``best_wb`` holds its winning value either way; the Four-Russians
+    sweep is joint over ``(q, sparsify)`` and also reports
+    ``best_sparsify``.
     """
 
     key: str
@@ -256,7 +246,6 @@ class TuneResult:
     cache_file: str = ""
     param: str = "wb"
     best_sparsify: bool | None = None
-    best_schedule: str | None = None
 
 
 def default_candidates(n: int, threads: int) -> list[int]:
@@ -463,121 +452,4 @@ def tune_fourrussians(
         cache_file=cache_file,
         param="fr_q",
         best_sparsify=best_sp,
-    )
-
-
-# -- joint schedule x tile sweep over generated kernels ------------------------
-
-
-def get_generated_config(
-    n: int,
-    m: int,
-    threads: int = 1,
-    dtype: str = "float32",
-    path: str | os.PathLike | None = None,
-) -> tuple[str, int]:
-    """The (schedule, tile) a ``generated`` backend run should compile.
-
-    Tuned winner for this (machine, dtype, size-class, threads) if one
-    was persisted by ``bpmax tune --joint``, else the ``kmajor`` untiled
-    default (the generic batched path's own order — never slower than a
-    bad guess).
-    """
-    entry = load_cache(path)["entries"].get(joint_cache_key(n, m, threads, dtype))
-    if entry:
-        schedule = str(entry.get("schedule", ""))
-        wj = int(entry.get("wj", 0))
-        if schedule:
-            return schedule, max(0, wj)
-    return "kmajor", 0
-
-
-def tune_joint(
-    n: int,
-    m: int,
-    threads: int = 1,
-    schedules: list[str] | None = None,
-    tiles: list[int] | None = None,
-    seed: int = 7,
-    repeats: int = 2,
-    path: str | os.PathLike | None = None,
-    persist: bool = True,
-) -> TuneResult:
-    """Joint (schedule, tile) sweep of the generated window kernels.
-
-    Each grid point is compiled through the codegen cache (first sweep on
-    a machine pays the compiles; later sweeps replay them as cache hits),
-    wrapped in a throwaway pinned backend, and timed end-to-end on a
-    synthetic problem — interleaved best-of-repeats like :func:`tune`.
-    A previously persisted winner is warm-started to the front of the
-    grid so its caches (BLAS, compiled module) are the ones warmed by the
-    untimed first run, keeping re-tunes stable.
-
-    The winner is persisted under :func:`joint_cache_key` with full
-    provenance: schedule name, tile width, per-candidate timings, and
-    the emitter version via the codegen cache key.
-    """
-    from ..core.engine import make_engine
-    from ..core.reference import prepare_inputs
-    from ..polyhedral.codegen.vectorize import candidate_schedules, candidate_tiles
-    from ..rna.sequence import random_pair
-    from .codegen_backend import make_pinned_backend
-
-    if schedules is None:
-        schedules = [ks.name for ks in candidate_schedules()]
-    if tiles is None:
-        tiles = list(candidate_tiles(m))
-    schedules = list(dict.fromkeys(schedules))
-    tiles = list(dict.fromkeys(tiles))
-    grid = [(s, w) for s in schedules for w in tiles]
-    if not grid:
-        raise ValueError("joint sweep needs at least one (schedule, tile) point")
-    prev = load_cache(path)["entries"].get(joint_cache_key(n, m, threads))
-    if prev:
-        warm = (str(prev.get("schedule", "")), int(prev.get("wj", 0)))
-        if warm in grid:
-            grid.remove(warm)
-            grid.insert(0, warm)
-    s1, s2 = random_pair(n, m, seed)
-    inputs = prepare_inputs(s1, s2)
-
-    def run_one(schedule: str, wj: int) -> float:
-        backend = make_pinned_backend(schedule, wj)
-        engine = make_engine(
-            inputs, variant="batched", backend=backend, threads=threads
-        )
-        t0 = time.perf_counter()
-        engine.run()
-        return time.perf_counter() - t0
-
-    run_one(*grid[0])  # warm caches/BLAS/compiled modules before timing
-    best: dict[tuple[str, int], float] = {g: float("inf") for g in grid}
-    for _ in range(max(1, repeats)):
-        for g in grid:
-            best[g] = min(best[g], run_one(*g))
-    best_schedule, best_wj = min(best, key=lambda g: (best[g], g))
-    key = joint_cache_key(n, m, threads)
-    cache_file = ""
-    if persist:
-        entry = {
-            "schedule": best_schedule,
-            "wj": best_wj,
-            "wall_s": best[(best_schedule, best_wj)],
-            "n": n,
-            "m": m,
-            "threads": threads,
-            "candidates": {f"{s}|wj{w}": t for (s, w), t in best.items()},
-        }
-        cache_file = str(save_entry(key, entry, path))
-    return TuneResult(
-        key=key,
-        n=n,
-        m=m,
-        threads=threads,
-        best_wb=best_wj,
-        best_wall_s=best[(best_schedule, best_wj)],
-        candidates={f"{s}|wj{w}": t for (s, w), t in best.items()},
-        cache_file=cache_file,
-        param="wj",
-        best_schedule=best_schedule,
     )

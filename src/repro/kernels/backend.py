@@ -13,11 +13,11 @@ path needs —
 :func:`~repro.core.engine.make_engine` can switch implementations at
 runtime (``backend="numpy-batched"``, CLI ``--backend``).
 
-Backends register themselves in :data:`BACKENDS`; optional accelerators
-(numba) register even when their dependency is missing, flagged
-unavailable, and :func:`get_backend` transparently falls back along the
-backend's declared fallback chain so a run never fails just because an
-optional JIT is absent on this machine.
+Backends register themselves in :data:`BACKENDS`.  A backend whose
+precondition fails on this machine (``tiled``'s BLAS-exactness probe)
+registers flagged unavailable, and :func:`get_backend` transparently
+falls back along its declared fallback chain, so a run never fails just
+because the machine cannot run one kernel exactly.
 """
 
 from __future__ import annotations
@@ -72,15 +72,6 @@ class KernelBackend:
         request for an undeclared semiring to the backend's fallback
         with a structured ``backend_note`` — never a wrong-algebra
         result.  Rendered by ``bpmax backends``.
-    window_r0: optional whole-window hook
-        ``window_r0(engine, i1, j1, acc)`` accumulating R0+R3+R4 of one
-        outer window straight off the engine's packed table (the
-        generated ``slab_direct`` kernels).  Engines with a single
-        coordinating thread dispatch to it instead of gathering the
-        stacked operands; ``None`` keeps the generic batched path.
-    provenance: where a compiled backend came from — e.g. ``{"schedule":
-        "kmajor", "tile_wj": 16, "source": "cache"}`` for generated
-        kernels.  Free-form, rendered by ``bpmax backends``.
     """
 
     #: the capability flags every backend reports (False when unset)
@@ -90,7 +81,6 @@ class KernelBackend:
         "autotune",
         "tile_graph",
         "bounded_scores",
-        "slab_direct",
     )
 
     def __init__(
@@ -104,8 +94,6 @@ class KernelBackend:
         note: str = "",
         capabilities: dict[str, bool] | None = None,
         semirings: tuple[str, ...] = ("max-plus",),
-        window_r0: Callable[..., np.ndarray] | None = None,
-        provenance: dict | None = None,
     ) -> None:
         self.name = name
         self.description = description
@@ -118,8 +106,6 @@ class KernelBackend:
         self.semirings = tuple(semirings)
         self._matmul = matmul
         self._batched_r0 = batched_r0
-        self.window_r0 = window_r0
-        self.provenance = provenance
 
     def matmul(self, a: np.ndarray, bs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Accumulating max-plus product of one split: ``out ⊕= A ⊗ B``."""
@@ -183,8 +169,8 @@ def get_backend(name: str | KernelBackend | None = None) -> KernelBackend:
 
     ``None`` resolves to :data:`DEFAULT_BACKEND`; passing an already-
     resolved :class:`KernelBackend` returns it unchanged.  Requesting a
-    registered-but-unavailable backend (e.g. ``numba`` without numba
-    installed) returns its declared fallback; the reason stays on the
+    registered-but-unavailable backend (e.g. ``tiled`` when the BLAS
+    probe failed) returns its declared fallback; the reason stays on the
     unavailable entry's :attr:`~KernelBackend.note` (shown by ``bpmax
     backends``).  An unknown name raises ``ValueError``.
     """

@@ -91,9 +91,6 @@ COUNTER_FIELDS = (
     "r0_splits_pruned",
     "r0_blocks_total",
     "r0_blocks_pruned",
-    "codegen_compiles",
-    "codegen_cache_hits",
-    "generated_kernel_cells",
 )
 
 
@@ -194,22 +191,6 @@ class Counters:
         block-columns were dominated by the current accumulator."""
         self.r0_blocks_total += total
         self.r0_blocks_pruned += pruned
-
-    # -- generated-kernel hooks ----------------------------------------------
-
-    def count_codegen_compile(self) -> None:
-        """One generated-kernel source actually emitted and compiled
-        (cold cache); a steady-state run should report zero of these."""
-        self.codegen_compiles += 1
-
-    def count_codegen_cache_hit(self) -> None:
-        """One generated-kernel variant served from the compiled cache
-        (in-process or on-disk) without re-emitting source."""
-        self.codegen_cache_hits += 1
-
-    def count_generated_cells(self, cells: int) -> None:
-        """Accumulator cells produced by a generated window kernel."""
-        self.generated_kernel_cells += cells
 
     # -- workspace hooks -----------------------------------------------------
 

@@ -380,12 +380,6 @@ class RunReport:
                     f"{mark_l}, predicted boundary "
                     f"{p['fr_boundary_cells']}{mark_b}"
                 )
-        if c["codegen_compiles"] or c["codegen_cache_hits"]:
-            lines.append(
-                f"codegen: {c['codegen_compiles']} compiles, "
-                f"{c['codegen_cache_hits']} cache hits, "
-                f"{c['generated_kernel_cells']} generated-kernel cells"
-            )
         if c["tiles_executed"]:
             idle_ms = c["tile_idle_ns"] / 1e6
             lines.append(

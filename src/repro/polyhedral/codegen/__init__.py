@@ -3,18 +3,6 @@
 from .loc import LocStats, count_loc
 from .mapping import MappingError, TargetMapping
 from .schedgen import compile_schedule, generate_schedule_code
-from .vectorize import (
-    CODEGEN_SCHEDULES,
-    KernelSchedule,
-    ScheduleLegalityError,
-    candidate_schedules,
-    candidate_tiles,
-    compile_window_kernel,
-    generate_window_kernel,
-    get_kernel_schedule,
-    is_legal_schedule,
-    loop_order,
-)
 from .writec import compile_write, generate_write_code
 
 __all__ = [
@@ -26,14 +14,4 @@ __all__ = [
     "generate_schedule_code",
     "compile_write",
     "generate_write_code",
-    "CODEGEN_SCHEDULES",
-    "KernelSchedule",
-    "ScheduleLegalityError",
-    "candidate_schedules",
-    "candidate_tiles",
-    "compile_window_kernel",
-    "generate_window_kernel",
-    "get_kernel_schedule",
-    "is_legal_schedule",
-    "loop_order",
 ]

@@ -12,7 +12,7 @@ the F table (Fig. 8).  The paper's optimization story for this kernel is:
    effect — recovers locality (Fig. 8, Fig. 18).
 
 We mirror those stages exactly: a pure-Python triple loop (baseline), a
-scalar-reduction loop order that cannot vectorize the innermost axis, a
+scalar-reduction loop order whose innermost axis stays scalar, a
 NumPy row-vectorized order (NumPy = SIMD surrogate) and a tiled variant.
 All kernels compute the *accumulating* product
 

@@ -40,9 +40,11 @@ shard's faults from the replacement worker's configuration (the
 fires-once transient-fault convention, across a process boundary).
 
 The worker protocol is deliberately tiny — picklable tuples over two
-``multiprocessing`` queues per worker (requests in, shared results out),
-heartbeats on the result queue — so the parent never blocks on a worker
-and a worker death can never corrupt parent state.  Workers are started
+channels per worker generation (a request queue in, a one-way result
+pipe out, heartbeats on the result pipe) — so the parent never blocks on
+a worker and a worker death can never corrupt parent state.  No channel
+is shared between workers: a worker killed mid-write tears only its own
+pipe, which the parent drops with that generation.  Workers are started
 with the ``spawn`` method by default (override with
 ``BPMAX_SHARD_START=fork`` where fork-safety is understood): the parent
 runs scheduler threads, and forking a threaded process is exactly the
@@ -57,11 +59,11 @@ import heapq
 import itertools
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _wait_conns
 from typing import Any, Iterable, Sequence
 
 from ..observe.metrics import active as _metrics_active
@@ -257,25 +259,32 @@ class _RequestExecutor:
         }
 
 
-def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_q) -> None:
+def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_conn) -> None:
     """Entry point of one shard worker process.
 
     Protocol (all plain picklable tuples):
 
     * parent -> worker on ``req_q``: ``("req", token, request,
       deadline_remaining_s)`` or ``("stop",)``;
-    * worker -> parent on the shared ``res_q``: ``("res", shard, epoch,
-      token, body)`` and ``("hb", shard, epoch)`` heartbeats.
+    * worker -> parent on this generation's own ``res_conn`` pipe:
+      ``("res", shard, epoch, token, body)`` and ``("hb", shard, epoch)``
+      heartbeats.
 
     The epoch stamps every message so the parent can discard output of a
-    superseded worker generation after a respawn.
+    superseded worker generation after a respawn.  The heartbeat thread
+    and the main thread write the one pipe, so their sends share a lock.
     """
     stop = threading.Event()
+    send_lock = threading.Lock()
+
+    def send(msg: tuple) -> None:
+        with send_lock:
+            res_conn.send(msg)
 
     def beat() -> None:
         while not stop.is_set():
             try:
-                res_q.put(("hb", shard, epoch))
+                send(("hb", shard, epoch))
             except Exception:  # pragma: no cover - parent gone
                 return
             stop.wait(cfg["heartbeat_s"])
@@ -301,7 +310,7 @@ def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_q) -> None:
                 time.sleep(cfg.get("hang_sleep_s", 3600.0))
         body = executor.execute(request, deadline_s)
         try:
-            res_q.put(("res", shard, epoch, token, body))
+            send(("res", shard, epoch, token, body))
         except Exception:  # pragma: no cover - parent gone
             break
     stop.set()
@@ -354,6 +363,7 @@ class _Worker:
         "epoch",
         "process",
         "req_q",
+        "res_conn",
         "last_hb",
         "inflight",
         "queue",
@@ -367,6 +377,7 @@ class _Worker:
         self.epoch = 0
         self.process = None
         self.req_q = None
+        self.res_conn = None
         self.last_hb = time.monotonic()
         self.inflight: dict[int, _Task] = {}
         self.queue: list[tuple[int, int, _Task]] = []
@@ -525,7 +536,8 @@ class ShardScheduler:
         self._closed = False
         self._stop = threading.Event()
         self._stats = ShardStats()
-        self._res_q = self._ctx.Queue()
+        #: result pipes of superseded generations, closed by the reaper
+        self._retired: list = []
         self._workers = [_Worker(s) for s in range(shards)]
         self._fallback_pool: ThreadPoolExecutor | None = None
         self._fallback_exec: _RequestExecutor | None = None
@@ -551,15 +563,33 @@ class ShardScheduler:
         }
 
     def _spawn(self, w: _Worker) -> None:
-        """Start (or restart) the worker process of one shard slot."""
+        """Start (or restart) the worker process of one shard slot.
+
+        Every generation gets fresh channels; the previous generation's
+        result pipe is retired, so anything a dead worker left half
+        written there can never reach a live one.
+        """
         w.req_q = self._ctx.Queue()
+        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         w.process = self._ctx.Process(
             target=_worker_main,
-            args=(w.shard, w.epoch, self._worker_cfg(), w.req_q, self._res_q),
+            args=(w.shard, w.epoch, self._worker_cfg(), w.req_q, send_conn),
             name=f"bpmax-shard-{w.shard}",
             daemon=True,
         )
-        w.process.start()
+        try:
+            w.process.start()
+        except Exception:
+            recv_conn.close()
+            raise
+        finally:
+            # the child holds the only write end from here on: its exit
+            # (clean or killed mid-write) reads as EOF in the reaper
+            send_conn.close()
+        with self._lock:
+            if w.res_conn is not None:
+                self._retired.append(w.res_conn)
+            w.res_conn = recv_conn
         w.last_hb = time.monotonic()
         w.state = "live"
 
@@ -710,32 +740,47 @@ class ShardScheduler:
 
     def _reap_loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                msg = self._res_q.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            except (EOFError, OSError):  # pragma: no cover - teardown race
-                return
-            kind = msg[0]
-            if kind == "hb":
-                _, shard, epoch = msg
-                with self._lock:
-                    w = self._workers[shard]
-                    if epoch == w.epoch:
-                        w.last_hb = time.monotonic()
-                continue
-            _, shard, epoch, token, body = msg
+            with self._lock:
+                for conn in self._retired:
+                    conn.close()
+                self._retired.clear()
+                conns = [
+                    w.res_conn
+                    for w in self._workers
+                    if w.res_conn is not None and not w.res_conn.closed
+                ]
+            for conn in _wait_conns(conns, timeout=0.1):
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    # the writer exited, possibly mid-message: this pipe is
+                    # done; the monitor respawns the worker behind it
+                    conn.close()
+                    continue
+                self._reap(msg)
+
+    def _reap(self, msg: tuple) -> None:
+        """Account one worker message: a heartbeat or a result."""
+        kind = msg[0]
+        if kind == "hb":
+            _, shard, epoch = msg
             with self._lock:
                 w = self._workers[shard]
-                if epoch != w.epoch:
-                    continue  # superseded generation: task was re-routed
-                w.last_hb = time.monotonic()
-                task = w.inflight.pop(token, None)
-                if task is not None:
-                    w.served += 1
+                if epoch == w.epoch:
+                    w.last_hb = time.monotonic()
+            return
+        _, shard, epoch, token, body = msg
+        with self._lock:
+            w = self._workers[shard]
+            if epoch != w.epoch:
+                return  # superseded generation: task was re-routed
+            w.last_hb = time.monotonic()
+            task = w.inflight.pop(token, None)
             if task is not None:
-                self._resolve(task, self._body_result(task.request, body, shard))
-            self._pump(w)
+                w.served += 1
+        if task is not None:
+            self._resolve(task, self._body_result(task.request, body, shard))
+        self._pump(w)
 
     # -- health monitoring ----------------------------------------------------
 
@@ -1038,11 +1083,16 @@ class ShardScheduler:
                     proc.join(timeout=2.0)
                 if proc.is_alive():  # pragma: no cover - stubborn process
                     proc.kill()
+                    proc.join(timeout=2.0)
             if w.req_q is not None:
                 w.req_q.close()
                 w.req_q.cancel_join_thread()
-        self._res_q.close()
-        self._res_q.cancel_join_thread()
+            if w.res_conn is not None:
+                w.res_conn.close()
+        with self._lock:
+            for conn in self._retired:
+                conn.close()
+            self._retired.clear()
         if self._fallback_pool is not None:
             self._fallback_pool.shutdown(wait=True)
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.api import bpmax, serve_many
+from repro.core.vectorized import VARIANT_CONFIGS
 from repro.golden import (
     CROSSCHECK_MAX_LEN,
     ERROR_CASES,
@@ -40,16 +41,15 @@ from repro.rna.scoring import DEFAULT_MODEL
 
 MANIFEST = Path(__file__).parent / "manifest.json"
 
-#: engine configurations held to the manifest: every variant, and the
-#: batched variant once per registered backend (unavailable backends
-#: fall back transparently and must *still* conform)
-ENGINE_CONFIGS = [
-    ("coarse", None),
-    ("fine", None),
-    ("hybrid", None),
-    ("hybrid-tiled", None),
-    ("batched", None),
-] + [("batched", name) for name in sorted(BACKENDS)]
+#: engine configurations held to the manifest: every variant with its
+#: own kernel, and every variant once per registered backend — the
+#: backend replaces the split reduction but each variant keeps its own
+#: window order (unavailable backends fall back transparently and must
+#: *still* conform)
+VARIANTS = list(VARIANT_CONFIGS)
+ENGINE_CONFIGS = [(variant, None) for variant in VARIANTS] + [
+    (variant, name) for variant in VARIANTS for name in sorted(BACKENDS)
+]
 
 #: the scalar reference engine is held to the pins on the cases it can
 #: finish quickly; the vectorized engines cover the rest

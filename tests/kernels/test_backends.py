@@ -6,7 +6,6 @@ import pytest
 from repro.kernels import (
     BACKENDS,
     DEFAULT_BACKEND,
-    HAVE_NUMBA,
     KernelBackend,
     available_backends,
     get_backend,
@@ -16,8 +15,8 @@ from repro.semiring.maxplus import NEG_INF, maxplus_matmul_naive
 
 
 class TestRegistry:
-    def test_core_backends_registered(self):
-        assert {"numpy", "numpy-batched", "numba"} <= set(BACKENDS)
+    def test_registry_is_exactly_the_survivors(self):
+        assert set(BACKENDS) == {"numpy", "numpy-batched", "tiled", "fourrussians"}
 
     def test_default_resolves(self):
         assert get_backend(None).name == DEFAULT_BACKEND
@@ -33,14 +32,29 @@ class TestRegistry:
         with pytest.raises(ValueError, match="numpy-batched"):
             get_backend("warp")
 
-    def test_numba_fallback_chain(self):
-        resolved = get_backend("numba")
-        if HAVE_NUMBA:
-            assert resolved.name == "numba"
-        else:
-            assert resolved.name == DEFAULT_BACKEND
-            assert not BACKENDS["numba"].available
-            assert BACKENDS["numba"].note  # explains why it is missing
+    @pytest.mark.parametrize("name", ["generated", "numba"])
+    def test_removed_backends_raise_naming_survivors(self, name):
+        with pytest.raises(ValueError, match=f"unknown backend {name!r}") as exc:
+            get_backend(name)
+        for survivor in ("numpy", "numpy-batched", "tiled", "fourrussians"):
+            assert survivor in str(exc.value)
+
+    def test_unavailable_backend_follows_fallback(self):
+        register_backend(
+            KernelBackend(
+                "_test-missing",
+                matmul=lambda a, b, c: c,
+                batched_r0=lambda *a, **k: a[2],
+                available=False,
+                fallback=DEFAULT_BACKEND,
+                note="unit test",
+            )
+        )
+        try:
+            assert get_backend("_test-missing").name == DEFAULT_BACKEND
+            assert "unavailable (unit test)" in repr(BACKENDS["_test-missing"])
+        finally:
+            del BACKENDS["_test-missing"]
 
     def test_available_backends_sorted_and_available(self):
         names = available_backends()
@@ -94,8 +108,6 @@ class TestRegistry:
 
     def test_repr_mentions_availability(self):
         assert "available" in repr(get_backend("numpy"))
-        if not HAVE_NUMBA:
-            assert "unavailable" in repr(BACKENDS["numba"])
 
 
 def _random_stacks(rng, s, m, triangular):

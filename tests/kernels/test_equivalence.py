@@ -10,17 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import bpmax
+from repro.core.bppart import bppart_recursive
 from repro.core.dmp import DoubleMaxPlus, dmp_reference, random_triangles
 from repro.core.engine import make_engine
 from repro.core.reference import bpmax_recursive, prepare_inputs
 from repro.core.vectorized import VARIANT_CONFIGS, VectorizedBPMax
-from repro.kernels import available_backends
+from repro.kernels import (
+    BACKENDS,
+    DEFAULT_BACKEND,
+    KernelBackend,
+    available_backends,
+    register_backend,
+)
 from repro.rna.sequence import random_pair
 from repro.robust.errors import EngineFailure
 from repro.robust.faults import FaultPlan
+from repro.serve.request import SubmitRequest
+from repro.serve.scheduler import BatchScheduler
 
 BACKEND_NAMES = list(available_backends())
 RNA = st.text(alphabet="ACGU", min_size=1, max_size=6)
+DEGENERATE_SHAPES = [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7)]
+#: pinned log-sum-exp tolerance of the golden manifest
+LSE_ATOL = 1e-9
 
 
 def _full_table_items(engine):
@@ -77,6 +89,65 @@ class TestScoreEquivalence:
                 np.testing.assert_array_equal(table[key], block, err_msg=f"{name} {key}")
 
 
+class TestBackendParity:
+    """Shape, algebra and serving contracts every registered backend meets."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
+    def test_degenerate_shapes(self, shape, backend):
+        n, m = shape
+        s1, s2 = random_pair(n, m, 3)
+        inp = prepare_inputs(s1, s2)
+        expected = bpmax_recursive(inp)
+        got = make_engine(inp, variant="batched", backend=backend).run()
+        assert got == expected
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_logsumexp_matches_bppart_reference(self, backend):
+        """A backend without the algebra resolves to its fallback and says
+        so; either way the log-partition matches the recursive reference."""
+        s1, s2 = random_pair(7, 6, 41)
+        inp = prepare_inputs(s1, s2, semiring="logsumexp")
+        engine = make_engine(inp, variant="batched", backend=backend)
+        got = engine.run()
+        assert got == pytest.approx(bppart_recursive(inp), abs=LSE_ATOL)
+        native = "logsumexp" in BACKENDS[backend].semirings
+        assert (engine.backend_note is None) == native
+        if not native:
+            assert engine.backend_note["requested"] == backend
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_logsumexp_threaded_matches_serial(self, backend):
+        """Row blocks accumulate a non-idempotent ⊕: each candidate must
+        still be counted exactly once."""
+        s1, s2 = random_pair(5, 8, 7)
+        inp = prepare_inputs(s1, s2, semiring="logsumexp")
+        serial = make_engine(inp, variant="batched", backend=backend).run()
+        threaded = make_engine(
+            inp, variant="batched", backend=backend, threads=3
+        ).run()
+        assert threaded == pytest.approx(serial, abs=LSE_ATOL)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("variant", list(VARIANT_CONFIGS))
+    def test_every_variant_logsumexp(self, variant, backend):
+        s1, s2 = random_pair(4, 5, 42)
+        inp = prepare_inputs(s1, s2, semiring="logsumexp")
+        got = VectorizedBPMax(
+            inp, variant=variant, backend=backend, tile=(2, 2, 0)
+        ).run()
+        assert got == pytest.approx(bppart_recursive(inp), abs=LSE_ATOL)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_serve_passthrough(self, backend):
+        s1, s2 = random_pair(6, 6, 57)
+        req = SubmitRequest(str(s1), str(s2), backend=backend)
+        with BatchScheduler(cache=0) as sched:
+            (r,) = sched.serve_all([req])
+        assert r.ok, r.error
+        assert r.score == bpmax(str(s1), str(s2)).score
+
+
 class TestDmpEquivalence:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_dmp_backend_bit_identical(self, backend):
@@ -86,11 +157,38 @@ class TestDmpEquivalence:
         for key in ref:
             np.testing.assert_array_equal(got[key], ref[key], err_msg=str(key))
 
-    def test_dmp_fallback_name_accepted(self):
-        """'numba' resolves (to itself or its fallback) and stays exact."""
-        tris = random_triangles(5, 4, 9)
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 1), (5, 6)])
+    @pytest.mark.parametrize("order", ["diagonal", "bottomup"])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_dmp_orders_and_shapes_bit_identical(self, backend, order, shape):
+        """Either window order, including one-triangle and width-1 inputs."""
+        n, m = shape
+        tris = random_triangles(n, m, 11)
         ref = dmp_reference(tris)
-        got = DoubleMaxPlus(tris, backend="numba").run()
+        got = DoubleMaxPlus(tris, order=order, backend=backend).run()
+        assert set(got) >= set(ref)
+        for key in ref:
+            np.testing.assert_array_equal(got[key], ref[key], err_msg=str(key))
+
+    def test_dmp_fallback_name_accepted(self):
+        """An unavailable backend's name resolves to its fallback and stays
+        exact."""
+        register_backend(
+            KernelBackend(
+                "_test-missing",
+                matmul=lambda a, b, c: c,
+                batched_r0=lambda *a, **k: a[2],
+                available=False,
+                fallback=DEFAULT_BACKEND,
+                note="unit test",
+            )
+        )
+        try:
+            tris = random_triangles(5, 4, 9)
+            ref = dmp_reference(tris)
+            got = DoubleMaxPlus(tris, backend="_test-missing").run()
+        finally:
+            del BACKENDS["_test-missing"]
         for key in ref:
             np.testing.assert_array_equal(got[key], ref[key], err_msg=str(key))
 

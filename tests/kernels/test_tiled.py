@@ -64,7 +64,6 @@ class TestBackendRegistration:
             "autotune": True,
             "tile_graph": True,
             "bounded_scores": False,
-            "slab_direct": False,
         }
         batched = BACKENDS["numpy-batched"]
         assert not batched.capabilities["tile_graph"]

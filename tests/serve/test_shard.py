@@ -10,6 +10,10 @@ reproducible, not racy.
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
+import os
+import pickle
+import struct
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,7 @@ from repro.robust.errors import (
 )
 from repro.serve import ShardScheduler, SubmitRequest, route_key
 from repro.serve.request import cache_key
+from repro.serve.shard import KILL_EXIT
 
 MANIFEST = Path(__file__).parent.parent / "golden" / "manifest.json"
 
@@ -42,6 +47,55 @@ def _golden_cases(max_len: int = 16, limit: int = 8):
     ]
     assert len(picked) >= limit
     return picked[:limit]
+
+
+def _tear_next_result_write() -> None:
+    """In a worker process: make its next result write put the frame
+    header and half of a 4 MiB body on the wire, then hard-exit.
+
+    The hook sits at ``Connection._send_bytes``, below whatever channel
+    the worker writes results through, and writes
+    ``multiprocessing.connection``'s own frame layout (a 4-byte
+    big-endian length, then the pickle), so the parent's reader sees a
+    genuine torn message rather than garbage.
+    """
+    from multiprocessing.connection import Connection
+
+    real_send_bytes = Connection._send_bytes
+
+    def torn_send_bytes(self, buf):
+        msg = pickle.loads(buf)
+        if msg[0] != "res":
+            return real_send_bytes(self, buf)
+        body = {**msg[4], "pad": bytes(4 << 20)}
+        payload = pickle.dumps(msg[:4] + (body,))
+        frame = struct.pack("!i", len(payload)) + payload[: len(payload) // 2]
+        view = memoryview(frame)
+        while view:
+            view = view[os.write(self.fileno(), view):]
+        os._exit(KILL_EXIT)
+
+    Connection._send_bytes = torn_send_bytes
+
+
+class _TornResultWrite(FaultPlan):
+    """Shard fault plan whose ``victim`` worker dies halfway through
+    writing the result of its ``ordinal``-th request (after computing
+    it, unlike ``shard_kills``, which exit before serving)."""
+
+    def __init__(self, victim: int, ordinal: int, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.victim = victim
+        self.ordinal = ordinal
+
+    def shard_fault(self, shard: int, ordinal: int) -> str | None:
+        if (shard, ordinal) == (self.victim, self.ordinal):
+            _tear_next_result_write()
+        return super().shard_fault(shard, ordinal)
+
+
+def _shard_children() -> list:
+    return [p for p in mp.active_children() if p.name.startswith("bpmax-shard-")]
 
 
 class TestRouting:
@@ -128,6 +182,31 @@ class TestWorkerDeathRecovery:
         assert counters.worker_deaths >= 1
         assert counters.worker_respawns >= 1
         assert counters.requests_served >= len(cases)
+
+    def test_kill_mid_result_write_spares_other_shards(self):
+        """A worker killed while writing a large result body leaves a torn
+        message in its own result pipe only: the other shard keeps
+        answering, the victim's request is re-routed to its respawned
+        generation, and close() leaves no worker process behind."""
+        cases = _golden_cases()
+        plan = _TornResultWrite(victim=0, ordinal=1, seed=13)
+        with ShardScheduler(
+            shards=2, faults=plan, heartbeat_timeout_s=HB_TIMEOUT
+        ) as s:
+            requests = [
+                SubmitRequest(a, b, id=f"t{i}")
+                for i, (a, b, _score) in enumerate(cases)
+            ]
+            assert {s.route(r) for r in requests} == {0, 1}
+            results = s.serve_all(requests)
+            st = s.stats
+        for (a, b, score), r in zip(cases, results):
+            assert r.ok, f"{r.id}: {r.error}"
+            assert r.score == score, (a, b)
+        assert st["deaths"] == 1
+        assert st["respawns"] == 1
+        assert st["rerouted"] >= 1
+        assert _shard_children() == []
 
     def test_hang_detection_reroutes(self):
         plan = FaultPlan(seed=5, shard_hangs=[(0, 1)])

@@ -158,7 +158,7 @@ class TestSemiringFlags:
         assert cli_main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "semirings: max-plus,logsumexp" in out
-        assert "semirings: max-plus\n" in out  # fourrussians/numba stay exact-only
+        assert "semirings: max-plus\n" in out  # fourrussians stays exact-only
 
 
 class TestFastaAndCsv:

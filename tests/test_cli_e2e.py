@@ -48,6 +48,14 @@ class TestRun:
         assert p.returncode == 2
         assert "error" in p.stderr.lower()
 
+    def test_removed_backend_exits_two_with_one_line(self):
+        p = run_cli("run", "GGGG", "CCCC", "--backend", "generated")
+        assert p.returncode == 2
+        lines = p.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("bpmax: error: unknown backend 'generated'")
+        assert "tiled" in lines[0] and "fourrussians" in lines[0]
+
     def test_invalid_sequence_exits_two(self):
         p = run_cli("run", "GXGG", "CCCC")
         assert p.returncode == 2
@@ -81,6 +89,11 @@ class TestTune:
                     "--candidates", "1,6", "--no-persist",
                     env={"BPMAX_TUNE_CACHE": str(cache)})
         assert p.returncode == 0 and not cache.exists()
+
+    def test_tune_joint_rejected_by_argparse(self):
+        p = run_cli("tune", "--joint", "--n", "6", "--m", "5")
+        assert p.returncode == 2
+        assert "unrecognized arguments: --joint" in p.stderr
 
     def test_tune_bad_candidates_exits_two(self):
         p = run_cli("tune", "--n", "6", "--m", "5", "--candidates", "0,99")
