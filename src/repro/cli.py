@@ -687,9 +687,30 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _make_scheduler(args: argparse.Namespace):
+    """The serving tier ``bpmax serve`` asked for: ``--shards N`` worker
+    processes, or the in-process batch tier for ``--shards 0``."""
+    if args.shards > 0:
+        from .serve.shard import ShardScheduler
+
+        return ShardScheduler(
+            shards=args.shards,
+            queue_limit=args.queue_limit,
+            cache_size=args.cache_size,
+            default_priority=args.priority or "batch",
+        )
+    from .serve.scheduler import BatchScheduler
+
+    return BatchScheduler(
+        max_batch=args.max_batch,
+        max_delay_s=args.max_delay,
+        workers=args.workers,
+        cache=args.cache_size,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.request import parse_request_line
-    from .serve.scheduler import BatchScheduler
 
     if args.max_batch < 1:
         raise BpmaxError(f"--max-batch must be >= 1, got {args.max_batch}")
@@ -728,26 +749,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not requests:
         raise BpmaxError(f"no requests found in {args.input!r}")
 
-    if args.shards > 0:
-        from .serve.shard import ShardScheduler
-
-        with ShardScheduler(
-            shards=args.shards,
-            queue_limit=args.queue_limit,
-            cache_size=args.cache_size,
-            default_priority=args.priority or "batch",
-        ) as sched:
-            results = sched.serve_all(requests)
-            stats_dict = sched.stats
-    else:
-        with BatchScheduler(
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay,
-            workers=args.workers,
-            cache=args.cache_size,
-        ) as sched:
-            results = sched.serve_all(requests)
-            stats_dict = sched.stats.as_dict()
+    with _make_scheduler(args) as sched:
+        results = sched.serve_all(requests)
+        stats_dict = sched.stats
+    if not isinstance(stats_dict, dict):
+        stats_dict = stats_dict.as_dict()
     out_lines = [r.to_json() for r in results]
     if args.out:
         with open(args.out, "w") as fh:
@@ -771,30 +777,16 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     import threading
 
     from .serve.http import HttpGateway
-    from .serve.scheduler import BatchScheduler
 
     if not 0 <= args.port <= 65535:
         raise BpmaxError(f"--port must be in [0, 65535], got {args.port}")
     if args.max_inflight < 1:
         raise BpmaxError(f"--max-inflight must be >= 1, got {args.max_inflight}")
 
+    sched = _make_scheduler(args)
     if args.shards > 0:
-        from .serve.shard import ShardScheduler
-
-        sched = ShardScheduler(
-            shards=args.shards,
-            queue_limit=args.queue_limit,
-            cache_size=args.cache_size,
-            default_priority=args.priority or "batch",
-        )
         tier = f"{args.shards} shard(s)"
     else:
-        sched = BatchScheduler(
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay,
-            workers=args.workers,
-            cache=args.cache_size,
-        )
         tier = f"in-process batch tier ({args.workers} worker(s))"
     try:
         gateway = HttpGateway(

@@ -16,9 +16,13 @@ one-shot library call:
 * :class:`~repro.serve.shard.ShardScheduler` — the multi-process tier:
   N worker processes each owning a cache shard, consistent-hash routing
   by content address, admission control with priority classes and
-  deadline-aware load shedding (:mod:`repro.serve.admission`), worker
+  expired-deadline shedding (:mod:`repro.serve.admission`), worker
   heartbeats with respawn/re-route self-healing, and graceful
   degradation to in-process execution (``bpmax serve --shards N``);
+* :mod:`~repro.serve.core` — the one request path both tiers share:
+  :func:`~repro.serve.core.run_request` (the only engine call), the
+  :class:`ServeResult` constructors, and the future lifecycle (claim →
+  deliver → account, drain, ``serve_all``, asyncio adapters);
 * :mod:`~repro.serve.scenarios` — the seeded stress-scenario library
   (bursty arrivals, heavy-tail sizes, deadline storms, poisoned
   requests, worker kills) replayed by

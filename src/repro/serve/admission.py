@@ -15,11 +15,9 @@ into latency collapse.  The :class:`AdmissionController` implements the
   a queue fills, ``scan`` traffic is shed first, then ``batch``, and
   ``interactive`` requests keep being admitted until the queue is
   *actually* full — the classic water-mark scheme;
-* **deadline-aware shedding** — a request whose deadline has already
-  expired, or whose remaining budget is smaller than a conservative
-  queue-wait estimate, is rejected at admission (fail fast) rather than
-  queued until its ``DeadlineExceeded`` fires after the work was
-  already wasted.
+* **deadline shedding** — a request whose deadline has already expired
+  is rejected at admission (fail fast) rather than queued until its
+  ``DeadlineExceeded`` fires after the work was already wasted.
 
 The controller is a pure policy object: it never touches queues itself,
 it just answers "admit or shed, and why" from the depths the scheduler
@@ -79,20 +77,12 @@ class AdmissionController:
     queue_limit: per-shard bound on still-queued (undispatched)
         requests; the hard cap for ``interactive``, with lower classes
         capped at their :data:`_CLASS_FILL` fraction.
-    est_wait_s: conservative estimate of the queue wait ahead of a new
-        request *per queued request* — used only for deadline-aware
-        shedding (a request whose remaining budget is below
-        ``depth * est_wait_s`` can never make it).  0 disables the
-        feasibility check; expired deadlines are always shed.
     """
 
-    def __init__(self, queue_limit: int = 64, est_wait_s: float = 0.0) -> None:
+    def __init__(self, queue_limit: int = 64) -> None:
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if est_wait_s < 0:
-            raise ValueError(f"est_wait_s must be >= 0, got {est_wait_s}")
         self.queue_limit = queue_limit
-        self.est_wait_s = est_wait_s
         self.stats = AdmissionStats()
 
     def class_cap(self, priority: str) -> int:
@@ -113,21 +103,12 @@ class AdmissionController:
         *returned*, not raised, because shedding is an expected outcome,
         not an exception in the control flow).
         """
-        if deadline_remaining_s is not None:
-            if deadline_remaining_s < 0:
-                self.stats.shed_deadline += 1
-                self.stats.shed_by_class[priority] += 1
-                return DeadlineExceeded(
-                    "deadline expired before admission; not queueing dead work"
-                )
-            if self.est_wait_s > 0 and deadline_remaining_s < depth * self.est_wait_s:
-                self.stats.shed_deadline += 1
-                self.stats.shed_by_class[priority] += 1
-                return DeadlineExceeded(
-                    f"deadline infeasible: {deadline_remaining_s:.3g}s "
-                    f"remaining < estimated queue wait "
-                    f"{depth * self.est_wait_s:.3g}s at depth {depth}"
-                )
+        if deadline_remaining_s is not None and deadline_remaining_s < 0:
+            self.stats.shed_deadline += 1
+            self.stats.shed_by_class[priority] += 1
+            return DeadlineExceeded(
+                "deadline expired before admission; not queueing dead work"
+            )
         cap = self.class_cap(priority)
         if depth >= cap:
             self.stats.shed_queue_full += 1

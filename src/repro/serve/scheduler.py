@@ -37,22 +37,27 @@ it to any running asyncio loop via :func:`asyncio.wrap_future`.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import Any
 
-from ..kernels import Workspace
 from ..observe.metrics import active as _metrics_active
 from ..observe.tracer import trace
 from ..parallel.pool import ParallelRunner
-from ..robust.deadline import Deadline
 from ..robust.errors import BpmaxError, RequestCancelled
-from ..semiring import get_semiring
-from .cache import CachedAnswer, ResultCache
+from .cache import ResultCache
+from .core import (
+    RequestItem,
+    ServingLifecycle,
+    answer_result,
+    cached_answer,
+    error_result,
+    make_workspace,
+    run_request,
+)
 from .request import ServeResult, SubmitRequest, batch_key, cache_key
 
 __all__ = ["BatchScheduler", "SchedulerStats"]
@@ -88,21 +93,17 @@ class SchedulerStats:
         }
 
 
-class _Pending:
+class _Pending(RequestItem):
     """One queued primary request plus the followers coalesced onto it."""
 
-    __slots__ = ("request", "future", "deadline", "submitted_at", "followers", "resolved")
+    __slots__ = ("followers",)
 
-    def __init__(self, request: SubmitRequest, deadline: Deadline | None) -> None:
-        self.request = request
-        self.future: Future[ServeResult] = Future()
-        self.deadline = deadline
-        self.submitted_at = time.monotonic()
+    def __init__(self, request: SubmitRequest) -> None:
+        super().__init__(request)
         self.followers: list[_Pending] = []
-        self.resolved = False
 
 
-class BatchScheduler:
+class BatchScheduler(ServingLifecycle):
     """Queue, batch, dedup and dispatch :class:`SubmitRequest` s.
 
     Parameters
@@ -128,18 +129,16 @@ class BatchScheduler:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_s < 0:
             raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
+        super().__init__()
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.cache = cache if isinstance(cache, ResultCache) else ResultCache(cache)
         self._pool = ParallelRunner(max(1, workers))
-        self._cond = threading.Condition()
         self._groups: dict[tuple, list[_Pending]] = {}
         self._group_since: dict[tuple, float] = {}
         self._ready: deque[list[_Pending]] = deque()
         self._inflight: dict[tuple, _Pending] = {}
-        self._outstanding = 0
         self._batch_seq = 0
-        self._stopped = False
         self._stats = SchedulerStats()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="bpmax-serve-dispatcher", daemon=True
@@ -156,29 +155,19 @@ class BatchScheduler:
         resolves immediately.  Everything else is queued for batching
         or coalesced onto an identical in-flight request.
         """
-        pending = _Pending(
-            request,
-            Deadline(request.deadline_s) if request.deadline_s is not None else None,
-        )
-        with self._cond:
-            if self._stopped:
-                raise RuntimeError(
-                    "BatchScheduler is closed; create a new one instead of "
-                    "reusing a shut-down scheduler"
-                )
-            self._stats.submitted += 1
-            self._outstanding += 1
+        pending = _Pending(request)
+        self._accept()
         try:
             ckey = cache_key(request)
         except BpmaxError as exc:
-            self._resolve(pending, self._error_result(request, exc))
+            self._resolve(pending, error_result(request, exc))
             return pending.future
         hit = self.cache.get(ckey, need_structure=request.structure)
         if hit is not None:
-            self._resolve(pending, self._answer_result(request, hit, cached=True))
+            self._resolve(pending, answer_result(request, hit))
             return pending.future
         coalesce_key = (ckey, request.structure)
-        with self._cond:
+        with self._lock:
             primary = self._inflight.get(coalesce_key)
             if primary is not None:
                 primary.followers.append(pending)
@@ -193,42 +182,16 @@ class BatchScheduler:
             if len(group) >= self.max_batch:
                 self._ready.append(self._groups.pop(bkey))
                 self._group_since.pop(bkey, None)
-            self._cond.notify_all()
+            self._lock.notify_all()
         return pending.future
-
-    def serve_all(self, requests: Iterable[SubmitRequest]) -> list[ServeResult]:
-        """Submit every request, flush, and wait (results in input order)."""
-        futures = [self.submit(r) for r in requests]
-        self.flush()
-        return [f.result() for f in futures]
-
-    # -- asyncio adapters -----------------------------------------------------
-
-    async def submit_async(self, request: SubmitRequest) -> ServeResult:
-        """Await one request from a running asyncio loop."""
-        return await asyncio.wrap_future(self.submit(request))
-
-    async def serve_all_async(
-        self, requests: Sequence[SubmitRequest]
-    ) -> list[ServeResult]:
-        """Submit concurrently and gather results in input order."""
-        futures = [self.submit(r) for r in requests]
-        self.flush()
-        return list(await asyncio.gather(*(asyncio.wrap_future(f) for f in futures)))
 
     # -- lifecycle ------------------------------------------------------------
 
     def flush(self) -> None:
         """Dispatch every queued group now, ignoring the watermarks."""
-        with self._cond:
+        with self._lock:
             self._flush_locked()
-            self._cond.notify_all()
-
-    def drain(self) -> None:
-        """Block until every submitted request has resolved."""
-        self.flush()
-        with self._cond:
-            self._cond.wait_for(lambda: self._outstanding == 0)
+            self._lock.notify_all()
 
     def cancel_pending(self) -> int:
         """Resolve every still-queued request with a structured
@@ -240,20 +203,20 @@ class BatchScheduler:
         (followers included).  Every cancelled future *resolves*: a
         cancellation is an answer, never a hang.
         """
-        with self._cond:
+        with self._lock:
             victims: list[_Pending] = []
             for bkey in list(self._groups):
                 victims.extend(self._groups.pop(bkey))
                 self._group_since.pop(bkey, None)
             while self._ready:
                 victims.extend(self._ready.popleft())
-            self._cond.notify_all()
+            self._lock.notify_all()
         cancelled = 0
         for pending in victims:
             cancelled += 1 + len(pending.followers)
             self._resolve(
                 pending,
-                self._error_result(
+                error_result(
                     pending.request,
                     RequestCancelled(
                         "request cancelled before dispatch "
@@ -274,31 +237,23 @@ class BatchScheduler:
         batches still complete) — fast shutdown without ever stranding
         a future.
         """
-        with self._cond:
-            if self._stopped:
+        with self._lock:
+            if self._closed:
                 return
-            self._stopped = True
+            self._closed = True
         if cancel:
             self.cancel_pending()
-        with self._cond:
-            self._flush_locked()
-            self._cond.notify_all()
+        self.flush()
         self._dispatcher.join()
         self._pool.close()
         # belt and braces: anything that slipped past the dispatcher
         # after the pool closed resolves as cancelled, never hangs
         self.cancel_pending()
 
-    def __enter__(self) -> "BatchScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     @property
     def stats(self) -> SchedulerStats:
         """A snapshot of the scheduler's aggregate counters."""
-        with self._cond:
+        with self._lock:
             snap = replace(self._stats)
         snap.cache = self.cache.stats.as_dict()
         return snap
@@ -313,7 +268,7 @@ class BatchScheduler:
     def _dispatch_loop(self) -> None:
         while True:
             due: list[list[_Pending]] = []
-            with self._cond:
+            with self._lock:
                 now = time.monotonic()
                 for bkey, since in list(self._group_since.items()):
                     if now - since >= self.max_delay_s:
@@ -322,17 +277,17 @@ class BatchScheduler:
                 while self._ready:
                     due.append(self._ready.popleft())
                 if not due:
-                    if self._stopped and not self._groups:
+                    if self._closed and not self._groups:
                         return
                     if self._group_since:
                         oldest = min(self._group_since.values())
                         timeout = max(0.0, oldest + self.max_delay_s - now)
                     else:
                         timeout = None
-                    self._cond.wait(timeout)
+                    self._lock.wait(timeout)
                     continue
             for batch in due:
-                with self._cond:
+                with self._lock:
                     self._batch_seq += 1
                     batch_id = self._batch_seq
                     self._stats.batches += 1
@@ -355,195 +310,44 @@ class BatchScheduler:
         if exc is None:
             return
         for pending in batch:  # pragma: no cover - defensive
-            if not pending.future.done():
-                self._resolve(pending, self._error_result(pending.request, exc, batch_id))
+            self._resolve(pending, error_result(pending.request, exc, batch_id))
 
     # -- execution ------------------------------------------------------------
 
     def _execute_batch(self, batch: list[_Pending], batch_id: int) -> None:
         req0 = batch[0].request
-        workspace: Workspace | None = None
-        if req0.variant != "baseline":
-            # all members share a batch_key, hence one (n, m) and one
-            # workspace; the batch runs sequentially on this thread so
-            # sharing is safe (Workspace forbids concurrent engines)
-            try:
-                n, m = batch_key(req0)[:2]
-                # the semiring is part of the batch key, so one dtype
-                # serves the whole batch
-                workspace = Workspace(
-                    m, max(n - 1, 0), dtype=get_semiring(req0.semiring).npdtype
-                )
-            except Exception:
-                # degenerate shapes (e.g. empty strands) have no valid
-                # workspace; each member still runs and reports its own
-                # structured error
-                workspace = None
+        # all members share a batch_key, hence one (n, m), one semiring
+        # and one workspace; the batch runs sequentially on this thread
+        # so sharing is safe (Workspace forbids concurrent engines)
+        workspace = make_workspace(req0)
         with trace("serve.batch", id=batch_id, size=len(batch), variant=req0.variant):
             for pending in batch:
-                if pending.future.done():  # pragma: no cover - defensive
-                    continue
-                try:
-                    result = self._run_one(pending, workspace, batch_id)
-                except BaseException as exc:  # never strand a future
-                    result = self._error_result(pending.request, exc, batch_id)
-                self._resolve(pending, result)
-
-    def _run_one(
-        self, pending: _Pending, workspace: Workspace | None, batch_id: int
-    ) -> ServeResult:
-        from ..core.api import bpmax  # local import: api imports serve
-
-        req = pending.request
-        if pending.deadline is not None and pending.deadline.expired():
-            return self._error_result(
-                req,
-                BpmaxError(
-                    f"deadline of {pending.deadline.budget_s:g}s expired "
-                    "while queued"
-                ),
-                batch_id,
-                error_type="DeadlineExceeded",
-            )
-        engine_kwargs: dict[str, Any] = {}
-        if req.variant != "baseline":
-            if req.backend is not None:
-                engine_kwargs["backend"] = req.backend
-            if workspace is not None:
-                engine_kwargs["workspace"] = workspace
-        t0 = time.perf_counter()
-        try:
-            res = bpmax(
-                req.seq1,
-                req.seq2,
-                variant=req.variant,
-                model=req.model,
-                semiring=req.semiring,
-                structure=req.structure,
-                fallback=req.fallback,
-                retries=req.retries,
-                deadline=pending.deadline,
-                faults=req.faults,
-                **engine_kwargs,
-            )
-        except BpmaxError as exc:
-            return self._error_result(req, exc, batch_id)
-        except Exception as exc:  # a crashing engine must not kill the batch
-            return self._error_result(req, exc, batch_id)
-        wall = time.perf_counter() - t0
-        structure = None
-        if res.structure is not None:
-            db1, db2 = res.structure.dotbracket()
-            structure = {
-                "strand1": db1,
-                "strand2": db2,
-                "inter": [list(p) for p in res.structure.inter],
-            }
-        return ServeResult(
-            id=req.id,
-            seq1=req.seq1,
-            seq2=req.seq2,
-            score=res.score,
-            variant=res.variant,
-            cached=False,
-            batch=batch_id,
-            wall_s=wall,
-            structure=structure,
-            degraded_from=res.degraded_from,
-        )
+                self._resolve(
+                    pending,
+                    run_request(pending.request, pending.deadline, workspace, batch_id),
+                )
 
     # -- resolution -----------------------------------------------------------
 
-    def _answer_result(
-        self,
-        req: SubmitRequest,
-        answer: CachedAnswer,
-        cached: bool,
-        batch: int = -1,
-    ) -> ServeResult:
-        return ServeResult(
-            id=req.id,
-            seq1=req.seq1,
-            seq2=req.seq2,
-            score=answer.score,
-            variant=answer.variant,
-            cached=cached,
-            batch=batch,
-            structure=answer.structure if req.structure else None,
-            degraded_from=answer.degraded_from,
-        )
-
-    def _error_result(
-        self,
-        req: SubmitRequest,
-        exc: BaseException,
-        batch: int = -1,
-        error_type: str | None = None,
-    ) -> ServeResult:
-        return ServeResult(
-            id=req.id,
-            seq1=req.seq1,
-            seq2=req.seq2,
-            batch=batch,
-            error=str(exc) or type(exc).__name__,
-            error_type=error_type or type(exc).__name__,
-        )
-
-    def _resolve(self, pending: _Pending, result: ServeResult) -> None:
-        """Deliver ``result`` to the primary and fan out to followers.
+    def _settle(self, pending: _Pending, result: ServeResult) -> list[_Pending]:
+        """Cache a fresh answer and release the in-flight entry.
 
         The answer enters the cache *before* the in-flight entry is
         removed, so a racing identical submit either coalesces (and is
-        fanned out below) or hits the cache — it never recomputes.
+        fanned out with the followers) or hits the cache — it never
+        recomputes.
         """
         req = pending.request
-        with self._cond:
-            if pending.resolved:  # raced with another resolver: first wins
-                return
-            pending.resolved = True
+        try:
+            ckey = cache_key(req)
+        except BpmaxError:  # failed at submit: never cached nor in flight
+            return []
         if result.ok and not result.cached:
-            try:
-                self.cache.put(
-                    cache_key(req),
-                    CachedAnswer(
-                        score=result.score,
-                        variant=result.variant or req.variant,
-                        degraded_from=result.degraded_from,
-                        structure=result.structure,
-                    ),
-                )
-            except BpmaxError:  # pragma: no cover - vetted at submit
-                pass
-        with self._cond:
+            self.cache.put(ckey, cached_answer(result))
+        with self._lock:
             followers = pending.followers
             pending.followers = []
-            key = (None, None)
-            try:
-                key = (cache_key(req), req.structure)
-            except BpmaxError:
-                pass
+            key = (ckey, req.structure)
             if self._inflight.get(key) is pending:
                 del self._inflight[key]
-        # Deliver BEFORE accounting: drain() returns when _outstanding
-        # hits zero, so every future (primary and followers) must be
-        # observable-done by then — otherwise a gateway that flushes a
-        # stream on drain can close the connection with lines unwritten.
-        pending.future.set_result(result)
-        for f in followers:
-            fr = replace(
-                result,
-                id=f.request.id,
-                cached=result.ok,
-                wall_s=0.0,
-                structure=result.structure if f.request.structure else None,
-            )
-            f.future.set_result(fr)
-        with self._cond:
-            self._outstanding -= 1 + len(followers)
-            self._stats.completed += 1 + len(followers)
-            if not result.ok:
-                self._stats.errors += 1 + len(followers)
-            self._cond.notify_all()
-        counters = _metrics_active()
-        if counters is not None:
-            counters.requests_served += 1 + len(followers)
+        return followers

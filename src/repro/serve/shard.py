@@ -13,8 +13,8 @@ into a process-pool tier:
   answer is cached twice.
 * **Admission control in front** (:class:`~repro.serve.admission.AdmissionController`):
   bounded per-shard queues, priority classes (``interactive`` > ``batch``
-  > ``scan``) with graduated shedding, and deadline-aware load shedding —
-  a request that cannot be served in time resolves *immediately* with a
+  > ``scan``) with graduated shedding, and deadline shedding — a request
+  whose deadline already expired resolves *immediately* with a
   structured :class:`~repro.robust.errors.BpmaxError`-derived result
   instead of queueing toward a timeout.  Backpressure therefore surfaces
   directly on the future returned by :meth:`ShardScheduler.submit`.
@@ -39,16 +39,20 @@ just before serving its n-th request, and the respawn path strips the
 shard's faults from the replacement worker's configuration (the
 fires-once transient-fault convention, across a process boundary).
 
+Workers, the in-process fallback and
+:class:`~repro.serve.scheduler.BatchScheduler` serve a request through
+the same :func:`~repro.serve.core.run_request`, and this tier resolves
+futures through the same :class:`~repro.serve.core.ServingLifecycle`.
+
 The worker protocol is deliberately tiny — picklable tuples over two
 channels per worker generation (a request queue in, a one-way result
 pipe out, heartbeats on the result pipe) — so the parent never blocks on
 a worker and a worker death can never corrupt parent state.  No channel
 is shared between workers: a worker killed mid-write tears only its own
-pipe, which the parent drops with that generation.  Workers are started
-with the ``spawn`` method by default (override with
-``BPMAX_SHARD_START=fork`` where fork-safety is understood): the parent
-runs scheduler threads, and forking a threaded process is exactly the
-kind of latent wedge this tier exists to survive.
+pipe, which the parent drops with that generation.  Workers are always
+started with the ``spawn`` method: the parent runs scheduler threads,
+and forking a threaded process is exactly the kind of latent wedge this
+tier exists to survive.
 """
 
 from __future__ import annotations
@@ -62,12 +66,12 @@ import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _wait_conns
 from typing import Any, Iterable, Sequence
 
 from ..observe.metrics import active as _metrics_active
-from ..observe.tracer import event, trace
+from ..observe.tracer import event
 from ..robust.deadline import Deadline
 from ..robust.errors import (
     BpmaxError,
@@ -77,7 +81,16 @@ from ..robust.errors import (
 )
 from ..robust.faults import FaultPlan
 from .admission import AdmissionController, priority_rank
-from .cache import CachedAnswer, ResultCache
+from .cache import ResultCache
+from .core import (
+    RequestItem,
+    ServingLifecycle,
+    answer_result,
+    cached_answer,
+    error_result,
+    make_workspace,
+    run_request,
+)
 from .request import PRIORITY_CLASSES, ServeResult, SubmitRequest, cache_key
 
 __all__ = ["ShardScheduler", "ShardStats", "route_key"]
@@ -88,6 +101,13 @@ KILL_EXIT = 17
 
 #: shard id reported by the degraded in-process fallback
 FALLBACK_SHARD = -2
+
+#: worker heartbeat period, and how often the parent checks worker health
+HEARTBEAT_S = 0.25
+MONITOR_INTERVAL_S = 0.05
+
+#: workers run in fresh interpreters: the parent is multi-threaded
+_MP = mp.get_context("spawn")
 
 
 def _hash64(text: str) -> int:
@@ -147,7 +167,7 @@ class _RequestExecutor:
     """One process's serving core: a cache shard plus per-shape workspaces.
 
     Used by every worker process (one each) and by the parent's degraded
-    in-process fallback, so both paths produce identical result bodies.
+    in-process fallback.
     """
 
     #: max distinct problem shapes whose workspaces are kept warm
@@ -155,111 +175,35 @@ class _RequestExecutor:
 
     def __init__(self, cache_capacity: int) -> None:
         self.cache = ResultCache(cache_capacity)
-        self._workspaces: dict[tuple[int, int, str], Any] = {}
+        self._workspaces: dict[tuple, Any] = {}
 
-    def _workspace(self, n: int, m: int, semiring: str):
-        from ..kernels import Workspace
-        from ..semiring import get_semiring
-
-        # keyed by semiring too: the algebra fixes the scratch dtype
-        key = (n, m, semiring)
-        ws = self._workspaces.get(key)
-        if ws is None:
-            if len(self._workspaces) >= self.MAX_WORKSPACES:
-                self._workspaces.pop(next(iter(self._workspaces)))
-            ws = Workspace(m, max(n - 1, 0), dtype=get_semiring(semiring).npdtype)
-            self._workspaces[key] = ws
-        return ws
-
-    def execute(self, req: SubmitRequest, deadline_s: float | None) -> dict:
-        """Serve one request; always returns a result body, never raises."""
-        from ..core.api import bpmax
-        from ..rna.alphabet import normalize
-
-        def error(exc: BaseException, error_type: str | None = None) -> dict:
-            return {
-                "ok": False,
-                "error": str(exc) or type(exc).__name__,
-                "error_type": error_type or type(exc).__name__,
-            }
-
+    def serve(self, req: SubmitRequest, deadline: Deadline | None) -> ServeResult:
+        """Serve one request from the cache or an engine; never raises."""
         try:
             ckey = cache_key(req)
         except BpmaxError as exc:
-            return error(exc)
+            return error_result(req, exc)
         hit = self.cache.get(ckey, need_structure=req.structure)
         if hit is not None:
-            return {
-                "ok": True,
-                "score": hit.score,
-                "variant": hit.variant,
-                "cached": True,
-                "wall_s": 0.0,
-                "structure": hit.structure if req.structure else None,
-                "degraded_from": list(hit.degraded_from),
-            }
-        deadline = Deadline(deadline_s) if deadline_s is not None else None
-        if deadline is not None and deadline.expired():
-            return error(
-                BpmaxError(f"deadline of {deadline.budget_s:g}s expired in queue"),
-                error_type="DeadlineExceeded",
-            )
-        engine_kwargs: dict[str, Any] = {}
-        if req.variant != "baseline":
-            if req.backend is not None:
-                engine_kwargs["backend"] = req.backend
-            try:
-                n, m = len(normalize(req.seq1)), len(normalize(req.seq2))
-                engine_kwargs["workspace"] = self._workspace(n, m, req.semiring)
-            except Exception:
-                pass  # degenerate shape: let the engine report it
-        t0 = time.perf_counter()
-        try:
-            res = bpmax(
-                req.seq1,
-                req.seq2,
-                variant=req.variant,
-                model=req.model,
-                semiring=req.semiring,
-                structure=req.structure,
-                fallback=req.fallback,
-                retries=req.retries,
-                deadline=deadline,
-                faults=req.faults,
-                **engine_kwargs,
-            )
-        except BaseException as exc:  # poison must fail only this request
-            return error(exc)
-        wall = time.perf_counter() - t0
-        structure = None
-        if res.structure is not None:
-            db1, db2 = res.structure.dotbracket()
-            structure = {
-                "strand1": db1,
-                "strand2": db2,
-                "inter": [list(p) for p in res.structure.inter],
-            }
-        self.cache.put(
-            ckey,
-            CachedAnswer(
-                score=res.score,
-                variant=res.variant,
-                degraded_from=res.degraded_from,
-                structure=structure,
-            ),
-        )
-        return {
-            "ok": True,
-            "score": res.score,
-            "variant": res.variant,
-            "cached": False,
-            "wall_s": wall,
-            "structure": structure if req.structure else None,
-            "degraded_from": list(res.degraded_from),
-        }
+            return answer_result(req, hit)
+        # keyed by semiring too: the algebra fixes the scratch dtype
+        shape = (len(ckey[0]), len(ckey[1]), req.semiring)
+        ws = self._workspaces.get(shape)
+        if ws is None:
+            ws = make_workspace(req)
+            if ws is not None:
+                if len(self._workspaces) >= self.MAX_WORKSPACES:
+                    self._workspaces.pop(next(iter(self._workspaces)))
+                self._workspaces[shape] = ws
+        result = run_request(req, deadline, ws)
+        if result.ok:
+            self.cache.put(ckey, cached_answer(result))
+        return result
 
 
-def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_conn) -> None:
+def _worker_main(
+    shard: int, epoch: int, cache_capacity: int, faults: FaultPlan | None, req_q, res_conn
+) -> None:
     """Entry point of one shard worker process.
 
     Protocol (all plain picklable tuples):
@@ -267,8 +211,9 @@ def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_conn) -> None:
     * parent -> worker on ``req_q``: ``("req", token, request,
       deadline_remaining_s)`` or ``("stop",)``;
     * worker -> parent on this generation's own ``res_conn`` pipe:
-      ``("res", shard, epoch, token, body)`` and ``("hb", shard, epoch)``
-      heartbeats.
+      ``("res", shard, epoch, token, result)`` with the
+      :class:`~repro.serve.request.ServeResult` itself, and
+      ``("hb", shard, epoch)`` heartbeats.
 
     The epoch stamps every message so the parent can discard output of a
     superseded worker generation after a respawn.  The heartbeat thread
@@ -287,11 +232,10 @@ def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_conn) -> None:
                 send(("hb", shard, epoch))
             except Exception:  # pragma: no cover - parent gone
                 return
-            stop.wait(cfg["heartbeat_s"])
+            stop.wait(HEARTBEAT_S)
 
     threading.Thread(target=beat, name="bpmax-shard-hb", daemon=True).start()
-    executor = _RequestExecutor(cfg["cache_capacity"])
-    faults: FaultPlan | None = cfg.get("faults")
+    executor = _RequestExecutor(cache_capacity)
     ordinal = 0
     while True:
         msg = req_q.get()
@@ -307,10 +251,11 @@ def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_conn) -> None:
                 # heartbeats keep flowing: a livelocked main thread with a
                 # healthy heartbeat is exactly what the per-request hang
                 # detector (not the heartbeat detector) must catch
-                time.sleep(cfg.get("hang_sleep_s", 3600.0))
-        body = executor.execute(request, deadline_s)
+                time.sleep(3600.0)
+        deadline = Deadline(deadline_s) if deadline_s is not None else None
+        result = executor.serve(request, deadline)
         try:
-            send(("res", shard, epoch, token, body))
+            send(("res", shard, epoch, token, result))
         except Exception:  # pragma: no cover - parent gone
             break
     stop.set()
@@ -321,34 +266,17 @@ def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_conn) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Task:
+class _Task(RequestItem):
     """One admitted request while it lives in the parent."""
 
-    __slots__ = (
-        "request",
-        "future",
-        "deadline",
-        "priority",
-        "submitted_at",
-        "seq",
-        "key_hash",
-        "reroutes",
-        "resolved",
-        "dispatched_at",
-    )
+    __slots__ = ("priority", "seq", "key_hash", "reroutes", "dispatched_at")
 
     def __init__(self, request: SubmitRequest, seq: int, key_hash: int) -> None:
-        self.request = request
-        self.future: Future[ServeResult] = Future()
-        self.deadline = (
-            Deadline(request.deadline_s) if request.deadline_s is not None else None
-        )
+        super().__init__(request)
         self.priority = request.priority
-        self.submitted_at = time.monotonic()
         self.seq = seq
         self.key_hash = key_hash
         self.reroutes = 0
-        self.resolved = False
         self.dispatched_at = 0.0
 
     def heap_entry(self) -> tuple[int, int, "_Task"]:
@@ -450,12 +378,13 @@ class ShardStats:
         }
 
 
-class ShardScheduler:
+class ShardScheduler(ServingLifecycle):
     """Process-pool serving tier: route, admit, dispatch, heal.
 
     The sharded counterpart of
     :class:`~repro.serve.scheduler.BatchScheduler`, with the same
-    surface (``submit`` -> :class:`~concurrent.futures.Future`,
+    surface (``submit`` -> :class:`~concurrent.futures.Future`, and from
+    the shared :class:`~repro.serve.core.ServingLifecycle` ``drain``,
     ``serve_all``, ``*_async`` adapters, context manager) so callers and
     the CLI can switch tiers with one flag.
 
@@ -469,10 +398,8 @@ class ShardScheduler:
         waits in the parent's priority queue so urgent arrivals can
         overtake and death re-routing has little to replay.
     cache_size: per-worker LRU result-cache capacity.
-    est_wait_s: per-queued-request wait estimate for deadline-aware
-        admission (0 disables the feasibility check).
-    heartbeat_s / heartbeat_timeout_s: worker heartbeat period and the
-        staleness window after which a worker counts as frozen.
+    heartbeat_timeout_s: staleness window after which a worker whose
+        heartbeats (every :data:`HEARTBEAT_S`) stopped counts as frozen.
     hang_timeout_s: per-request wall bound after dispatch; an in-flight
         request older than this marks the worker as hung.
     max_reroutes: death re-route budget per request before it fails
@@ -483,8 +410,6 @@ class ShardScheduler:
         dataclass default.
     faults: optional :class:`~repro.robust.faults.FaultPlan` whose
         ``shard_kills`` / ``shard_hangs`` sites are shipped to workers.
-    start_method: multiprocessing start method (default: ``spawn``, or
-        ``BPMAX_SHARD_START`` from the environment).
     """
 
     def __init__(
@@ -493,16 +418,12 @@ class ShardScheduler:
         queue_limit: int = 64,
         pipeline_depth: int = 2,
         cache_size: int = 512,
-        est_wait_s: float = 0.0,
-        heartbeat_s: float = 0.25,
         heartbeat_timeout_s: float = 10.0,
         hang_timeout_s: float = 30.0,
         max_reroutes: int = 2,
         max_respawns: int = 3,
-        monitor_interval_s: float = 0.05,
         default_priority: str = "batch",
         faults: FaultPlan | None = None,
-        start_method: str | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -513,27 +434,20 @@ class ShardScheduler:
                 f"unknown default_priority {default_priority!r}; "
                 f"use one of {PRIORITY_CLASSES}"
             )
+        super().__init__()
         self.shards = shards
         self.pipeline_depth = pipeline_depth
         self.cache_size = cache_size
-        self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.hang_timeout_s = hang_timeout_s
         self.max_reroutes = max_reroutes
         self.max_respawns = max_respawns
-        self.monitor_interval_s = monitor_interval_s
         self.default_priority = default_priority
-        self.admission = AdmissionController(queue_limit, est_wait_s=est_wait_s)
+        self.admission = AdmissionController(queue_limit)
         self._faults = faults
-        method = start_method or os.environ.get("BPMAX_SHARD_START", "spawn")
-        self._ctx = mp.get_context(method)
         self._ring = _HashRing(shards)
-        self._lock = threading.RLock()
-        self._done = threading.Condition(self._lock)
         self._seq = itertools.count()
         self._tokens = itertools.count(1)
-        self._outstanding = 0
-        self._closed = False
         self._stop = threading.Event()
         self._stats = ShardStats()
         #: result pipes of superseded generations, closed by the reaper
@@ -555,13 +469,6 @@ class ShardScheduler:
 
     # -- worker lifecycle -----------------------------------------------------
 
-    def _worker_cfg(self) -> dict:
-        return {
-            "cache_capacity": self.cache_size,
-            "heartbeat_s": self.heartbeat_s,
-            "faults": self._faults,
-        }
-
     def _spawn(self, w: _Worker) -> None:
         """Start (or restart) the worker process of one shard slot.
 
@@ -569,11 +476,11 @@ class ShardScheduler:
         result pipe is retired, so anything a dead worker left half
         written there can never reach a live one.
         """
-        w.req_q = self._ctx.Queue()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        w.process = self._ctx.Process(
+        w.req_q = _MP.Queue()
+        recv_conn, send_conn = _MP.Pipe(duplex=False)
+        w.process = _MP.Process(
             target=_worker_main,
-            args=(w.shard, w.epoch, self._worker_cfg(), w.req_q, send_conn),
+            args=(w.shard, w.epoch, self.cache_size, self._faults, w.req_q, send_conn),
             name=f"bpmax-shard-{w.shard}",
             daemon=True,
         )
@@ -609,26 +516,19 @@ class ShardScheduler:
 
         A shed request resolves *immediately* with a structured
         error result (``AdmissionRejected`` on a full queue,
-        ``DeadlineExceeded`` for an infeasible budget) — that immediate
+        ``DeadlineExceeded`` for an expired budget) — that immediate
         resolution is the backpressure signal to the client.
         """
         if request.priority == "batch" and self.default_priority != "batch":
             request = SubmitRequest(
                 **{**request.__dict__, "priority": self.default_priority}
             )
-        with self._lock:
-            if self._closed:
-                raise RuntimeError(
-                    "ShardScheduler is closed; create a new one instead of "
-                    "reusing a shut-down scheduler"
-                )
-            self._stats.submitted += 1
-            self._outstanding += 1
+        self._accept()
         try:
             key_hash = route_key(request)
         except BpmaxError as exc:
             task = _Task(request, next(self._seq), 0)
-            self._resolve(task, self._error_result(request, exc))
+            self._resolve(task, error_result(request, exc))
             return task.future
         task = _Task(request, next(self._seq), key_hash)
         shed: BpmaxError | None = None
@@ -653,50 +553,26 @@ class ShardScheduler:
                 pump_worker = self._workers[shard]
                 heapq.heappush(pump_worker.queue, task.heap_entry())
         if shed is not None:
-            self._resolve(task, self._shed_result(request, shed), shed_request=True)
+            self._shed(task, shed)
         elif pump_worker is not None:
             self._pump(pump_worker)
         return task.future
 
-    def serve_all(self, requests: Iterable[SubmitRequest]) -> list[ServeResult]:
-        """Submit every request and wait (results in input order)."""
-        with trace("shard.serve_all"):
-            futures = [self.submit(r) for r in requests]
-            return [f.result() for f in futures]
-
-    async def submit_async(self, request: SubmitRequest) -> ServeResult:
-        """Await one request from a running asyncio loop."""
-        import asyncio
-
-        return await asyncio.wrap_future(self.submit(request))
-
-    async def serve_all_async(
-        self, requests: Sequence[SubmitRequest]
-    ) -> list[ServeResult]:
-        """Submit concurrently and gather results in input order."""
-        import asyncio
-
-        futures = [self.submit(r) for r in requests]
-        return list(await asyncio.gather(*(asyncio.wrap_future(f) for f in futures)))
-
     # -- degraded in-process fallback -----------------------------------------
 
     def _run_fallback(self, task: _Task) -> None:
-        remaining = (
-            task.deadline.remaining() if task.deadline is not None else None
-        )
         assert self._fallback_exec is not None
-        body = self._fallback_exec.execute(task.request, remaining)
+        result = self._fallback_exec.serve(task.request, task.deadline)
         with self._lock:
             self._fallback_depth -= 1
             self._stats.degraded_requests += 1
-        self._resolve(task, self._body_result(task.request, body, FALLBACK_SHARD))
+        self._resolve(task, replace(result, shard=FALLBACK_SHARD))
 
     # -- dispatch -------------------------------------------------------------
 
     def _pump(self, w: _Worker) -> None:
         """Fill ``w``'s pipeline from its priority queue."""
-        to_shed: list[tuple[_Task, ServeResult]] = []
+        expired: list[_Task] = []
         with self._lock:
             while (
                 w.state == "live"
@@ -710,19 +586,7 @@ class ShardScheduler:
                 if task.deadline is not None:
                     remaining = task.deadline.remaining()
                     if remaining < 0:
-                        to_shed.append(
-                            (
-                                task,
-                                self._shed_result(
-                                    task.request,
-                                    DeadlineExceeded(
-                                        f"deadline of "
-                                        f"{task.deadline.budget_s:g}s expired "
-                                        "while queued"
-                                    ),
-                                ),
-                            )
-                        )
+                        expired.append(task)
                         continue
                 token = next(self._tokens)
                 w.inflight[token] = task
@@ -733,8 +597,7 @@ class ShardScheduler:
                     w.inflight.pop(token, None)
                     heapq.heappush(w.queue, task.heap_entry())
                     break
-        for task, result in to_shed:
-            self._resolve(task, result, shed_request=True)
+        self._shed_queued(expired)
 
     # -- result reaping -------------------------------------------------------
 
@@ -769,7 +632,7 @@ class ShardScheduler:
                 if epoch == w.epoch:
                     w.last_hb = time.monotonic()
             return
-        _, shard, epoch, token, body = msg
+        _, shard, epoch, token, result = msg
         with self._lock:
             w = self._workers[shard]
             if epoch != w.epoch:
@@ -779,13 +642,13 @@ class ShardScheduler:
             if task is not None:
                 w.served += 1
         if task is not None:
-            self._resolve(task, self._body_result(task.request, body, shard))
+            self._resolve(task, replace(result, shard=shard))
         self._pump(w)
 
     # -- health monitoring ----------------------------------------------------
 
     def _monitor_loop(self) -> None:
-        while not self._stop.wait(self.monitor_interval_s):
+        while not self._stop.wait(MONITOR_INTERVAL_S):
             self._check_workers()
 
     def _check_workers(self) -> None:
@@ -820,28 +683,24 @@ class ShardScheduler:
         A deadline storm must drain by *shedding*, not by dispatching
         dead work; lazily-deleted heap entries are skipped by the pump.
         """
-        to_shed: list[tuple[_Task, ServeResult]] = []
         with self._lock:
-            for _, _, task in w.queue:
-                if (
-                    not task.resolved
-                    and task.deadline is not None
-                    and task.deadline.expired()
-                ):
-                    to_shed.append(
-                        (
-                            task,
-                            self._shed_result(
-                                task.request,
-                                DeadlineExceeded(
-                                    f"deadline of {task.deadline.budget_s:g}s "
-                                    "expired while queued"
-                                ),
-                            ),
-                        )
-                    )
-        for task, result in to_shed:
-            self._resolve(task, result, shed_request=True)
+            expired = [
+                task
+                for _, _, task in w.queue
+                if not task.resolved
+                and task.deadline is not None
+                and task.deadline.expired()
+            ]
+        self._shed_queued(expired)
+
+    def _shed_queued(self, expired: list[_Task]) -> None:
+        for task in expired:
+            self._shed(
+                task,
+                DeadlineExceeded(
+                    f"deadline of {task.deadline.budget_s:g}s expired while queued"
+                ),
+            )
 
     def _worker_down(self, w: _Worker, reason: str) -> None:
         """Kill, account, re-route, and respawn (or fail) one worker."""
@@ -889,7 +748,7 @@ class ShardScheduler:
         for task in failed:
             self._resolve(
                 task,
-                self._error_result(
+                error_result(
                     task.request,
                     WorkerFailure(
                         f"shard {w.shard} worker died ({reason}) and the "
@@ -944,82 +803,24 @@ class ShardScheduler:
 
     # -- resolution -----------------------------------------------------------
 
-    def _body_result(self, req: SubmitRequest, body: dict, shard: int) -> ServeResult:
-        if not body.get("ok", False):
-            return ServeResult(
-                id=req.id,
-                seq1=req.seq1,
-                seq2=req.seq2,
-                shard=shard,
-                error=body.get("error", "unknown worker error"),
-                error_type=body.get("error_type"),
-            )
-        return ServeResult(
-            id=req.id,
-            seq1=req.seq1,
-            seq2=req.seq2,
-            score=body.get("score"),
-            variant=body.get("variant"),
-            cached=bool(body.get("cached", False)),
-            shard=shard,
-            wall_s=float(body.get("wall_s", 0.0)),
-            structure=body.get("structure"),
-            degraded_from=tuple(body.get("degraded_from", ())),
-        )
-
-    def _error_result(self, req: SubmitRequest, exc: BaseException) -> ServeResult:
-        return ServeResult(
-            id=req.id,
-            seq1=req.seq1,
-            seq2=req.seq2,
-            error=str(exc) or type(exc).__name__,
-            error_type=type(exc).__name__,
-        )
-
-    def _shed_result(self, req: SubmitRequest, exc: BpmaxError) -> ServeResult:
-        event("shard.shed", id=req.id, priority=req.priority,
+    def _shed(self, task: _Task, exc: BpmaxError) -> None:
+        event("shard.shed", id=task.request.id, priority=task.priority,
               error=type(exc).__name__)
-        return self._error_result(req, exc)
+        self._resolve(task, error_result(task.request, exc), shed=True)
 
-    def _resolve(
-        self, task: _Task, result: ServeResult, shed_request: bool = False
-    ) -> None:
-        with self._lock:
-            if task.resolved:
-                return
-            task.resolved = True
-        # Deliver BEFORE accounting: drain() returns when _outstanding
-        # hits zero, so the future must already be observable-done by
-        # then — otherwise a gateway that flushes a stream on drain can
-        # close the connection with the final line still unwritten.
-        task.future.set_result(result)
-        with self._lock:
-            self._outstanding -= 1
-            self._stats.completed += 1
-            if not result.ok:
-                self._stats.errors += 1
-            if shed_request:
-                self._stats.shed += 1
-                self._stats.shed_by_class[task.priority] += 1
-            else:
-                self._stats.record_latency(
-                    task.priority, time.monotonic() - task.submitted_at
-                )
-            self._done.notify_all()
-        counters = _metrics_active()
-        if counters is not None:
-            counters.requests_served += 1
-            if shed_request:
+    def _account(self, task: _Task, result: ServeResult, shed: bool) -> None:
+        if shed:
+            self._stats.shed += 1
+            self._stats.shed_by_class[task.priority] += 1
+            counters = _metrics_active()
+            if counters is not None:
                 counters.requests_shed += 1
+        else:
+            self._stats.record_latency(
+                task.priority, time.monotonic() - task.submitted_at
+            )
 
     # -- lifecycle ------------------------------------------------------------
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Block until every submitted request resolved (True on success)."""
-        with self._done:
-            return self._done.wait_for(
-                lambda: self._outstanding == 0, timeout=timeout
-            )
 
     def cancel_pending(self) -> int:
         """Resolve every queued *and* in-flight request with a structured
@@ -1040,7 +841,7 @@ class ShardScheduler:
         for task in to_cancel:
             self._resolve(
                 task,
-                self._error_result(
+                error_result(
                     task.request,
                     RequestCancelled("scheduler closed while request was pending"),
                 ),
@@ -1095,12 +896,6 @@ class ShardScheduler:
             self._retired.clear()
         if self._fallback_pool is not None:
             self._fallback_pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ShardScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- introspection --------------------------------------------------------
 

@@ -9,7 +9,7 @@ or duplicates work is caught even if its score happens to agree).
 The same matrix runs under the ``logsumexp`` semiring against the
 recursive BPPart reference — there the contract is the corpus
 tolerance (1e-9), not bit-identity, because ``logaddexp`` rounds under
-reassociation; and max-plus-only backends (fourrussians, numba) must
+reassociation; and the max-plus-only backend (fourrussians) must
 resolve to a semiring-capable fallback and *still* agree.  The
 max-plus bit-identity test doubles as the refactor guard: engines are
 semiring-parametric now, and for max-plus the parametric path must

@@ -65,18 +65,12 @@ class TestAdmitOrShed:
         assert isinstance(verdict, DeadlineExceeded)
         assert ctl.stats.shed_deadline == 1
 
-    def test_infeasible_deadline_shed_when_wait_estimated(self):
-        ctl = AdmissionController(queue_limit=8, est_wait_s=1.0)
-        verdict = ctl.admit("batch", depth=5, deadline_remaining_s=2.0)
-        assert isinstance(verdict, DeadlineExceeded)
-        assert "infeasible" in str(verdict)
-
     def test_feasible_deadline_admitted(self):
-        ctl = AdmissionController(queue_limit=8, est_wait_s=0.1)
+        ctl = AdmissionController(queue_limit=8)
         assert ctl.admit("batch", depth=2, deadline_remaining_s=5.0) is None
 
     def test_no_wait_estimate_disables_feasibility_check(self):
-        ctl = AdmissionController(queue_limit=8, est_wait_s=0.0)
+        ctl = AdmissionController(queue_limit=8)
         assert ctl.admit("batch", depth=5, deadline_remaining_s=1e-9) is None
 
 
@@ -107,7 +101,3 @@ class TestValidation:
     def test_queue_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="queue_limit"):
             AdmissionController(queue_limit=0)
-
-    def test_est_wait_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="est_wait_s"):
-            AdmissionController(est_wait_s=-1.0)

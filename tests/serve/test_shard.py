@@ -67,8 +67,7 @@ def _tear_next_result_write() -> None:
         msg = pickle.loads(buf)
         if msg[0] != "res":
             return real_send_bytes(self, buf)
-        body = {**msg[4], "pad": bytes(4 << 20)}
-        payload = pickle.dumps(msg[:4] + (body,))
+        payload = pickle.dumps(msg + (bytes(4 << 20),))
         frame = struct.pack("!i", len(payload)) + payload[: len(payload) // 2]
         view = memoryview(frame)
         while view:
