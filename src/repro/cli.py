@@ -61,7 +61,7 @@ from contextlib import ExitStack
 
 from .bench.figures import EXPERIMENTS, run_experiment
 from .core.api import bpmax, fold
-from .core.engine import ENGINES
+from .core.engine import DEFAULT_VARIANT, ENGINES
 from .robust.errors import BpmaxError
 from .serve.request import PRIORITY_CLASSES
 
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="treat seq1 as a FASTA file containing (at least) two records",
     )
     run.add_argument(
-        "--variant", default="hybrid-tiled", choices=ENGINES, help="program version"
+        "--variant", default=DEFAULT_VARIANT, choices=ENGINES, help="program version"
     )
     run.add_argument(
         "--backend",
@@ -166,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--stride", type=int, default=6)
     sc.add_argument("--top", type=int, default=5)
     sc.add_argument(
-        "--variant", default="hybrid-tiled", choices=ENGINES, help="program version"
+        "--variant", default=DEFAULT_VARIANT, choices=ENGINES, help="program version"
     )
     sc.add_argument(
         "--backend",
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sm.add_argument("seq2")
     sm.add_argument("--id", default="", help="request id echoed in the result")
     sm.add_argument(
-        "--variant", default="hybrid-tiled", choices=ENGINES, help="program version"
+        "--variant", default=DEFAULT_VARIANT, choices=ENGINES, help="program version"
     )
     sm.add_argument("--backend", metavar="NAME", help="kernel backend")
     sm.add_argument(
@@ -834,7 +834,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     request: dict = {"seq1": args.seq1, "seq2": args.seq2}
     if args.id:
         request["id"] = args.id
-    if args.variant != "hybrid-tiled":
+    if args.variant != DEFAULT_VARIANT:
         request["variant"] = args.variant
     if args.backend is not None:
         request["backend"] = args.backend

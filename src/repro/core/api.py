@@ -14,7 +14,7 @@ from ..rna.sequence import RnaSequence
 from ..robust.checkpoint import CheckpointManager
 from ..robust.deadline import Deadline
 from ..robust.faults import FaultPlan
-from .engine import ENGINES, make_engine
+from .engine import DEFAULT_VARIANT, ENGINES, make_engine
 from .reference import BpmaxInputs, prepare_inputs
 from .tables import FTable
 from .traceback import InteractionStructure, traceback
@@ -53,7 +53,7 @@ class BpmaxResult:
 def bpmax(
     seq1: RnaSequence | str,
     seq2: RnaSequence | str,
-    variant: str = "hybrid-tiled",
+    variant: str = DEFAULT_VARIANT,
     model: ScoringModel = DEFAULT_MODEL,
     semiring: str = "max-plus",
     structure: bool = False,
@@ -75,8 +75,11 @@ def bpmax(
         the tiled engine the first strand is treated as the outer (ideally
         shorter) sequence, as in the paper's 16 x 2500 workloads.
     variant:
-        Program version: ``baseline`` (the original scalar code) or one of
-        the optimized versions ``coarse | fine | hybrid | hybrid-tiled``.
+        Program version: ``batched`` (the default: the hybrid schedule
+        on the registry's default ``tiled`` backend), ``baseline`` (the
+        original scalar code) or one of the paper's optimized versions
+        ``coarse | fine | hybrid | hybrid-tiled`` with their classic
+        per-split kernels.
     semiring:
         Reduction algebra of the run: ``"max-plus"`` (BPMax, the exact
         float32 contract — default) or ``"logsumexp"`` (BPPart-style
@@ -193,7 +196,7 @@ def bpmax(
 
 def serve_many(
     requests,
-    variant: str = "hybrid-tiled",
+    variant: str = DEFAULT_VARIANT,
     model: ScoringModel = DEFAULT_MODEL,
     semiring: str = "max-plus",
     structure: bool = False,

@@ -8,9 +8,15 @@ from ..robust.errors import BpmaxError, DeadlineExceeded, EngineFailure
 from ..robust.retry import retry
 from .reference import BaselineBPMax, BpmaxInputs
 from .tables import FTable
-from .vectorized import VARIANT_CONFIGS, VectorizedBPMax
+from .vectorized import DEFAULT_VARIANT, VARIANT_CONFIGS, VectorizedBPMax
 
-__all__ = ["BpmaxEngine", "ENGINES", "ResilientEngine", "make_engine"]
+__all__ = [
+    "BpmaxEngine",
+    "DEFAULT_VARIANT",
+    "ENGINES",
+    "ResilientEngine",
+    "make_engine",
+]
 
 
 class BpmaxEngine(Protocol):
@@ -143,7 +149,7 @@ class ResilientEngine:
 
 def make_engine(
     inputs: BpmaxInputs,
-    variant: str = "hybrid-tiled",
+    variant: str = DEFAULT_VARIANT,
     fallback: tuple[str, ...] = (),
     retries: int = 0,
     **kwargs,
@@ -152,11 +158,11 @@ def make_engine(
 
     ``baseline`` is the original scalar diagonal-by-diagonal program;
     ``coarse`` / ``fine`` / ``hybrid`` / ``hybrid-tiled`` are the
-    optimized versions of Figs. 15/16; ``batched`` routes R0 through the
-    :mod:`repro.kernels` backend registry (stacked 3-D reductions,
-    ``numpy-batched`` by default).  Extra kwargs (``tile``, ``threads``,
-    ``order``, ``kernel``, ``layout``, ``backend``, ``fr_q``,
-    ``fr_sparsify``) reach
+    optimized versions of Figs. 15/16; ``batched`` (the default,
+    :data:`DEFAULT_VARIANT`) routes R0 through the :mod:`repro.kernels`
+    backend registry (the ``tiled`` wavefront executor by default).
+    Extra kwargs (``tile``, ``threads``, ``order``, ``kernel``,
+    ``layout``, ``backend``, ``fr_q``, ``fr_sparsify``) reach
     :class:`~repro.core.vectorized.VectorizedBPMax` — ``backend`` names
     any registered kernel backend and works with every vectorized
     variant.

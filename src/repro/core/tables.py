@@ -9,22 +9,28 @@ memory-mapping experiments (Fig. 10):
 * option 2 — ``(i2, j2) -> (i2, j2 - i2)``: a packed skewed layout using
   the same box but shifting each row left.
 
-Physically, the whole outer triangle lives in **one packed contiguous
-buffer** of shape ``(T1(n), m, m)`` laid out row-major over ``(i1, j1)``:
-window ``(i1, j1)`` is the slab ``packed[offset(i1, j1)]`` with
+Physically, the whole outer triangle lives in **one square contiguous
+buffer** of shape ``(n, n, m, m)`` indexed ``[i1, j1]``: window
+``(i1, j1)`` is the slab ``packed[offset(i1, j1)]`` of the flat
+``(n*n, m, m)`` view, with
 
-    offset(i1, j1) = row_start[i1] + (j1 - i1)
+    offset(i1, j1) = i1 * n + j1
 
-an O(1) affine map.  The payoff, beyond cutting the O(N^2) per-window
-allocation churn of the old dict-of-arrays storage, is that every split
-scan of the recurrence becomes a *contiguous slab view*: the R0/R4 left
-operands of window ``(i1, j1)`` are exactly the ``j1 - i1`` consecutive
-slabs starting at ``offset(i1, i1)`` (see :meth:`FTable.row_slab`),
-which the tiled backend consumes with zero gathering.
+an O(1) affine map.  Beyond cutting the O(N^2) per-window allocation
+churn of a dict-of-arrays storage, the square index makes every operand
+stack of the recurrence a *strided view* with constant strides: the
+R0/R4 left operands of window ``(i1, j1)`` are the ``j1 - i1``
+consecutive slabs starting at ``offset(i1, i1)`` (see
+:meth:`FTable.row_slab`), and the right operands of a whole diagonal
+block step by ``(n + 1)`` slabs per window and ``n`` per split — which
+the tiled backend consumes with zero copies.
 
 The paper notes AlphaZ's default bounding-box allocation wastes 3/4 of
 the M^2 N^2 box but the unused elements never move through the memory
-hierarchy; :meth:`FTable.bytes_allocated` / :meth:`FTable.bytes_touched`
+hierarchy.  The outer axes use the same trick: the buffer is allocated
+zeroed and only its ``i1 <= j1`` half is filled, so the other half is
+deterministic zeros that are never addressed (:meth:`offset` rejects
+``i1 > j1``).  :meth:`FTable.bytes_allocated` / :meth:`FTable.bytes_touched`
 quantify exactly that (per *logically allocated* window — the backing
 buffer is reserved once up front, but only windows the computation has
 claimed count, preserving the Figs. 7/9 accounting).
@@ -32,6 +38,8 @@ claimed count, preserving the Figs. 7/9 accounting).
 
 from __future__ import annotations
 
+import math
+import mmap
 from typing import Iterator
 
 import numpy as np
@@ -42,8 +50,22 @@ MEMORY_LAYOUTS = ("option1", "option2")
 NEG_INF = np.float32(-np.inf)
 
 
+def _lazy_zeros(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A zeroed array whose never-written pages are never backed.
+
+    An anonymous mapping hands out zero pages on first touch only.
+    ``np.zeros`` would do the same for large sizes, except that NumPy
+    advises huge pages from 4 MiB up, and one written byte then backs a
+    whole 2 MiB page, untouched half included.
+    """
+    mm = mmap.mmap(-1, math.prod(shape) * dtype.itemsize)
+    if hasattr(mm, "madvise") and hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mm.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(mm, dtype=dtype).reshape(shape)
+
+
 class FTable:
-    """Triangular 4-D DP table in one packed contiguous buffer.
+    """Triangular 4-D DP table in one square contiguous buffer.
 
     Parameters
     ----------
@@ -52,7 +74,7 @@ class FTable:
     layout: inner memory map, ``"option1"`` or ``"option2"``.
     fill: initial value of inner matrices (``-inf`` marks "not computed",
         which every engine semiring treats as the reduction identity).
-    dtype: element type of the packed buffer.  Max-plus keeps the
+    dtype: element type of the window buffer.  Max-plus keeps the
         paper's float32; the log-sum-exp semiring computes in float64.
     """
 
@@ -73,13 +95,11 @@ class FTable:
         self.layout = layout
         self.dtype = np.dtype(dtype)
         self._fill = self.dtype.type(fill)
-        # row-major over (i1, j1): row i1 holds windows (i1, i1) .. (i1, n-1)
-        self._row_start = np.zeros(n + 1, dtype=np.int64)
-        for i in range(n):
-            self._row_start[i + 1] = self._row_start[i] + (n - i)
-        self._buf = np.full(
-            (int(self._row_start[n]), m, m), self._fill, dtype=self.dtype
-        )
+        # square over (i1, j1); only the upper half is ever written
+        self._buf = _lazy_zeros((n, n, m, m), self.dtype)
+        for i1 in range(n):
+            self._buf[i1, i1:].fill(self._fill)
+        self._flat = self._buf.reshape(n * n, m, m)
         self._alloc: set[tuple[int, int]] = set()
         self._shift: dict[tuple[int, int], np.ndarray] = {}
         self._aux: dict[tuple[int, int], dict[str, object]] = {}
@@ -87,14 +107,14 @@ class FTable:
     # -- packed addressing ---------------------------------------------------
 
     def offset(self, i1: int, j1: int) -> int:
-        """O(1) affine index of window ``(i1, j1)`` in the packed buffer."""
+        """O(1) affine index of window ``(i1, j1)`` in :attr:`packed`."""
         self._check_window(i1, j1)
-        return int(self._row_start[i1]) + (j1 - i1)
+        return i1 * self.n + j1
 
     @property
     def packed(self) -> np.ndarray:
-        """The whole ``(T1(n), m, m)`` packed buffer (row-major windows)."""
-        return self._buf
+        """The flat ``(n*n, m, m)`` view of the square window buffer."""
+        return self._flat
 
     def row_slab(self, i1: int, j1: int, count: int) -> np.ndarray:
         """Contiguous view of windows ``(i1, j1) .. (i1, j1 + count - 1)``.
@@ -110,7 +130,7 @@ class FTable:
             raise IndexError(
                 f"slab ({i1}, {j1})+{count} leaves the outer row for n={self.n}"
             )
-        return self._buf[off : off + count]
+        return self._flat[off : off + count]
 
     # -- window management --------------------------------------------------
 
@@ -143,14 +163,14 @@ class FTable:
             # copy of the old contents would go stale
             self._shift.pop(key, None)
             self._aux.pop(key, None)
-        return self._buf[off]
+        return self._flat[off]
 
     def inner(self, i1: int, j1: int) -> np.ndarray:
         """Inner matrix of a window; raises when not yet allocated."""
         off = self.offset(i1, j1)
         if (i1, j1) not in self._alloc:
             raise KeyError(f"window ({i1}, {j1}) not computed yet")
-        return self._buf[off]
+        return self._flat[off]
 
     def set_inner(self, i1: int, j1: int, values: np.ndarray) -> None:
         off = self.offset(i1, j1)
@@ -158,7 +178,7 @@ class FTable:
             raise ValueError(
                 f"inner matrix must be {(self.m, self.m)}, got {values.shape}"
             )
-        np.copyto(self._buf[off], values, casting="unsafe")
+        np.copyto(self._flat[off], values, casting="unsafe")
         self._alloc.add((i1, j1))
         self._shift.pop((i1, j1), None)
         self._aux.pop((i1, j1), None)
@@ -207,7 +227,7 @@ class FTable:
         """Drop a window's storage (used by windowed/streaming modes)."""
         if (i1, j1) in self._alloc:
             self._alloc.discard((i1, j1))
-            self._buf[self.offset(i1, j1)].fill(self._fill)
+            self._flat[self.offset(i1, j1)].fill(self._fill)
         self._shift.pop((i1, j1), None)
         self._aux.pop((i1, j1), None)
 

@@ -2,8 +2,10 @@
 
 One engine class covers the paper's coarse / fine / hybrid / hybrid-tiled
 program versions (Figs. 15/16) plus the backend-dispatched ``batched``
-version.  In this reproduction NumPy row operations play the role of
-compiler auto-vectorization, so the variants differ in:
+version — the default (:data:`DEFAULT_VARIANT`), which runs the
+registry's default backend (``tiled``).  In this reproduction NumPy row
+operations play the role of compiler auto-vectorization, so the
+variants differ in:
 
 * the outer-triangle traversal order (diagonal vs bottom-up-left-right —
   the paper finds them nearly equivalent, Fig. 13 orange vs blue);
@@ -54,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..robust.deadline import Deadline
     from ..robust.faults import FaultPlan
 
-__all__ = ["VectorizedBPMax", "VARIANT_CONFIGS"]
+__all__ = ["DEFAULT_VARIANT", "VectorizedBPMax", "VARIANT_CONFIGS"]
 
 #: paper program version -> engine configuration
 VARIANT_CONFIGS: dict[str, dict] = {
@@ -66,9 +68,21 @@ VARIANT_CONFIGS: dict[str, dict] = {
         "order": "bottomup",
         "kernel": "vectorized",
         "granularity": "hybrid",
-        "backend": "numpy-batched",
+        "backend": DEFAULT_BACKEND,
     },
 }
+
+#: the variant every entry point runs when none is named: the hybrid
+#: schedule on the registry's default backend
+DEFAULT_VARIANT = "batched"
+
+
+def _semiring_backend(backend: KernelBackend, semiring: str) -> KernelBackend:
+    """``backend`` or the first backend on its fallback chain reducing in
+    ``semiring`` (``numpy-batched`` speaks every engine semiring)."""
+    while semiring not in backend.semirings:
+        backend = get_backend(backend.fallback or "numpy-batched")
+    return backend
 
 
 class VectorizedBPMax:
@@ -109,7 +123,7 @@ class VectorizedBPMax:
     def __init__(
         self,
         inputs: BpmaxInputs,
-        variant: str = "hybrid-tiled",
+        variant: str = DEFAULT_VARIANT,
         order: str | None = None,
         kernel: str | None = None,
         tile: tuple[int, int, int] = (32, 4, 0),
@@ -151,7 +165,7 @@ class VectorizedBPMax:
             # and record how we got there — a wrong-algebra score is
             # never produced silently
             if self.backend is None:
-                resolved = get_backend(DEFAULT_BACKEND)
+                resolved = _semiring_backend(get_backend(DEFAULT_BACKEND), self.sr.name)
                 self.backend_note = {
                     "requested": "(classic kernels)",
                     "resolved": resolved.name,
@@ -163,9 +177,7 @@ class VectorizedBPMax:
                 self.backend = resolved
             elif self.sr.name not in self.backend.semirings:
                 requested = self.backend.name
-                resolved = get_backend(self.backend.fallback or DEFAULT_BACKEND)
-                if self.sr.name not in resolved.semirings:
-                    resolved = get_backend(DEFAULT_BACKEND)
+                resolved = _semiring_backend(self.backend, self.sr.name)
                 self.backend_note = {
                     "requested": requested,
                     "resolved": resolved.name,
@@ -527,9 +539,12 @@ class VectorizedBPMax:
         ):
             # tile-graph backends run the whole fill through the tiled
             # wavefront executor (bit-identical tables, same hooks)
+            from ..kernels.autotune import get_tile_shape
             from ..kernels.tiled_backend import TiledExecutor
 
-            if TiledExecutor.fits(inp.n, inp.m, itemsize=self.sr.npdtype.itemsize):
+            wb = get_tile_shape(inp.n, inp.m, self.threads)
+            itemsize = self.sr.npdtype.itemsize
+            if TiledExecutor.fits(inp.n, inp.m, itemsize, self.threads, wb):
                 with trace(
                     "engine.run",
                     variant=self.variant,
@@ -540,13 +555,13 @@ class VectorizedBPMax:
                     backend=self.backend.name,
                     threads=self.threads,
                 ):
-                    return TiledExecutor(self).run(
+                    return TiledExecutor(self, wb=wb).run(
                         done=done,
                         checkpoint=checkpoint,
                         deadline=deadline,
                         faults=faults,
                     )
-            # mirrors would not fit: fall through to the per-window
+            # tile scratch would not fit: fall through to the per-window
             # batched path, which computes the identical sums in the
             # same semiring dtype
         self._faults = faults

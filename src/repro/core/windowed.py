@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from ..rna.scoring import DEFAULT_MODEL, ScoringModel
 from ..rna.sequence import RnaSequence
-from .engine import ENGINES, make_engine
+from .engine import DEFAULT_VARIANT, ENGINES, make_engine
 from .reference import prepare_inputs
 
 __all__ = ["WindowHit", "ScanResult", "scan_windows", "scan_windows_served"]
@@ -110,7 +110,7 @@ def scan_windows(
     target: RnaSequence | str,
     window: int = 24,
     stride: int = 6,
-    variant: str = "hybrid-tiled",
+    variant: str = DEFAULT_VARIANT,
     model: ScoringModel = DEFAULT_MODEL,
     semiring: str = "max-plus",
     antiparallel: bool = True,
@@ -158,7 +158,7 @@ def scan_windows_served(
     target: RnaSequence | str,
     window: int = 24,
     stride: int = 6,
-    variant: str = "hybrid-tiled",
+    variant: str = DEFAULT_VARIANT,
     model: ScoringModel = DEFAULT_MODEL,
     semiring: str = "max-plus",
     antiparallel: bool = True,

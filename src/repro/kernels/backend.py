@@ -38,8 +38,9 @@ __all__ = [
     "available_backends",
 ]
 
-#: name of the backend engines use when asked for the default
-DEFAULT_BACKEND = "numpy-batched"
+#: name of the backend engines use when asked for the default (the
+#: ``batched`` preset, and so every default entry point, runs it)
+DEFAULT_BACKEND = "tiled"
 
 
 class KernelBackend:

@@ -3,14 +3,12 @@
 The ``tiled`` backend executes the BPMax fill as a real inter-tile
 wavefront instead of a per-window loop:
 
-* **Packed slabs + square mirrors.**  The canonical table is the
-  :class:`~repro.core.tables.FTable` packed ``(T1(N), M, M)`` buffer
-  (written in place — no second copy).  Three window-major mirrors make
-  every R0/R3/R4/closure operand of a whole diagonal a zero-copy strided
-  view: ``atw[i1, d]`` holds window ``(i1, i1+d)`` *transposed*,
-  ``sqcr[j1, e]`` / ``sqcs[j1, e]`` hold window ``(j1-e, j1)`` raw /
-  split-shifted.  For span ``s``, the operand stacks of windows
-  ``[w0, w1)`` are plain slices — no gather loop in the hot path.
+* **Views of the F table.**  The :class:`~repro.core.tables.FTable`
+  square ``(N, N, M, M)`` buffer indexed ``[i1, j1]`` is the only copy:
+  every R0/R3/R4/closure operand stack of a diagonal block is a
+  read-only strided view of it (see :meth:`TiledExecutor._block_views`)
+  and the block's windows are computed in place — no gather loop and no
+  second copy of the table.
 
 * **R0 outer-sums as rank-2 GEMMs.**  The R0 step for inner split ``k2``
   is the outer *sum* ``t[i2, j2] = A[i2, k2] + B[k2, j2]``, which is
@@ -45,6 +43,7 @@ engines, so crash/resume behaviour is preserved.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import TYPE_CHECKING
@@ -71,9 +70,10 @@ __all__ = ["TILED_BACKEND", "TiledExecutor", "gemm_outer_sum_exact"]
 #: (i1, j1) needs its west (i1, j1-1) -> (1, 0) and south (i1+1, j1) -> (1, -1)
 DEP_VECTORS = ((1, 0), (1, -1))
 
-#: refuse the O(N^2 M^2) square mirrors beyond this footprint and let the
-#: engine fall back to the per-window batched path (still bit-identical)
-MIRROR_BYTES_CAP = 1_000_000_000
+#: refuse tile scratch (per-thread buffers x threads) beyond this footprint
+#: and let the engine fall back to the per-window batched path (still
+#: bit-identical); the table itself is the engine's on either path
+SCRATCH_BYTES_CAP = 512 * 2**20
 
 
 def gemm_outer_sum_exact(dtype=np.float32) -> bool:
@@ -108,53 +108,48 @@ def _k1(m: int) -> int:
     return (m - 1) * m * (m + 1) // 6 if m >= 2 else 0
 
 
+def _scratch_shapes(wb: int, n: int, m: int) -> dict[str, tuple[int, ...]]:
+    """Shapes of one worker slot's buffers (sized by what each phase reads).
+
+    ``lmax`` is the largest (window, split) count of a tile; R0's GEMM
+    block for inner split ``k`` is ``(k + 1) x (m - k - 1)``, at most
+    ``m^2 / 4``.  ``tbuf`` also serves the ``(wb, m, m)`` addend of the
+    streamed R3/R4/closure terms and, one after the other, the
+    finish-rows candidate stack and R2 stack of each row.
+    """
+    lmax = max([min(wb, n - s) * s for s in range(1, n)] + [1])
+    kmax = max(n - 1, 1)
+    return {  # name -> shape
+        "a2": (lmax, 2, m),
+        "b2": (lmax, 2, m),
+        "tbuf": (max(lmax * (m * m // 4), wb * (m + 2) * m),),
+        "rbuf": (wb, m, m),
+        "rowbuf": (wb, m),
+        "scrbuf": (wb, m),
+        "seedbuf": (wb, max(m - 1, 1)),
+        "s1l": (wb, kmax, 1, 1),
+        "s1r": (wb, kmax, 1, 1),
+    }
+
+
 class _TileScratch:
     """One worker slot's preallocated buffers (checked out per tile)."""
 
     def __init__(self, wb: int, n: int, m: int, dtype=np.float32) -> None:
-        dtype = np.dtype(dtype)
-        lmax = 0
-        for s in range(1, n):
-            lmax = max(lmax, min(wb, n - s) * s)
-        lmax = max(lmax, 1)
-        self.lmax = lmax
+        for name, shape in _scratch_shapes(wb, n, m).items():
+            setattr(self, name, np.empty(shape, dtype=dtype))
         # rank-2 GEMM planes: column/row of ones is persistent
-        self.a2 = np.empty((lmax, 2, m), dtype=dtype)
         self.a2[:, 1, :] = 1.0
-        self.b2 = np.empty((lmax, 2, m), dtype=dtype)
         self.b2[:, 0, :] = 1.0
-        self.tbuf = np.empty(lmax * m * m, dtype=dtype)
-        self.gbuf = np.empty((wb, m, m), dtype=dtype)
-        self.rbuf = np.empty((wb, m, m), dtype=dtype)
-        self.c3buf = np.empty((wb, m, m), dtype=dtype)
-        self.finbuf = np.empty((wb, m + 2, m), dtype=dtype)
-        self.fin2buf = np.empty((wb, m, m), dtype=dtype)
-        self.rowbuf = np.empty((wb, m), dtype=dtype)
-        self.scrbuf = np.empty((wb, m), dtype=dtype)
-        self.seedbuf = np.empty((wb, max(m - 1, 1)), dtype=dtype)
-        kmax = max(n - 1, 1)
-        self.s1l = np.empty((wb, kmax, 1, 1), dtype=dtype)
-        self.s1r = np.empty((wb, kmax, 1, 1), dtype=dtype)
+
+    @staticmethod
+    def footprint(wb: int, n: int, m: int, itemsize: int) -> int:
+        """Bytes one slot allocates, computed without allocating."""
+        shapes = _scratch_shapes(wb, n, m).values()
+        return itemsize * sum(math.prod(shape) for shape in shapes)
 
     def nbytes(self) -> int:
-        return sum(
-            b.nbytes
-            for b in (
-                self.a2,
-                self.b2,
-                self.tbuf,
-                self.gbuf,
-                self.rbuf,
-                self.c3buf,
-                self.finbuf,
-                self.fin2buf,
-                self.rowbuf,
-                self.scrbuf,
-                self.seedbuf,
-                self.s1l,
-                self.s1r,
-            )
-        )
+        return sum(b.nbytes for b in vars(self).values())
 
 
 class TiledExecutor:
@@ -182,10 +177,6 @@ class TiledExecutor:
         n, m = self.n, self.m
         self.sr = engine.sr
         self._dtype = self.sr.npdtype
-        # window-major square mirrors (see module docstring)
-        self.atw = np.empty((n, n, m, m), dtype=self._dtype)
-        self.sqcs = np.empty((n, n, m, m), dtype=self._dtype)
-        self.sqcr = np.empty((n, n, m, m), dtype=self._dtype)
         self._s2_ut = engine._s2_ut
         self._score2_diag1 = engine._score2_diag1
         self._fin_r1 = engine._fin_r1
@@ -200,14 +191,14 @@ class TiledExecutor:
         self._faults: "FaultPlan | None" = None
 
     @classmethod
-    def fits(cls, n: int, m: int, itemsize: int = 4) -> bool:
-        """Whether the square mirrors fit the executor's memory budget.
-
-        ``itemsize`` is the semiring compute dtype's width (4 for the
-        max-plus float32 contract, 8 for log-sum-exp float64) — wider
-        elements halve the largest problem the mirrors accept.
+    def fits(cls, n: int, m: int, itemsize: int, threads: int, wb: int) -> bool:
+        """Whether ``threads`` worker slots of tile scratch fit
+        :data:`SCRATCH_BYTES_CAP` (``itemsize``: 4 for max-plus float32,
+        8 for log-sum-exp float64).  Pure arithmetic: nothing is allocated.
         """
-        return 3 * itemsize * n * n * m * m <= MIRROR_BYTES_CAP
+        wb = max(1, min(wb, n))
+        per_slot = _TileScratch.footprint(wb, n, m, itemsize)
+        return max(1, threads) * per_slot <= SCRATCH_BYTES_CAP
 
     # -- per-tile body (worker threads) --------------------------------------
 
@@ -216,23 +207,47 @@ class TiledExecutor:
             if self._scratch:
                 return self._scratch.pop()
         # only reachable if a caller overcommits the runner; keep safe
-        return _TileScratch(self.wb, self.n, self.m)
+        return _TileScratch(self.wb, self.n, self.m, dtype=self._dtype)
 
     def _checkin(self, sc: _TileScratch) -> None:
         with self._scratch_lock:
             self._scratch.append(sc)
 
-    def _publish(self, i1: int, j1: int, g: np.ndarray) -> None:
-        """Install one finished window into the table and all mirrors."""
-        d = j1 - i1
-        out = self.table.alloc(i1, j1)
-        if out is not g:
-            np.copyto(out, g)
-        np.copyto(self.atw[i1, d], g.T)
-        np.copyto(self.sqcr[j1, d], g)
-        cs = self.sqcs[j1, d]
-        cs[:-1, :] = g[1:, :]
-        cs[-1, :] = NEG_INF
+    def _block_views(self, span: int, w0: int, w1: int) -> tuple:
+        """Strided views of the table for the block ``(span, [w0, w1))``.
+
+        Returns ``(g, A, AT, B, inner)``: the block's own windows ``g[w]
+        = (w0+w, w0+w+span)`` (writable, computed in place), and for
+        split ``k1 = w0+w+kk`` the left operand ``A[w, kk] = (w0+w, k1)``,
+        its transpose ``AT``, the right operand ``B[w, kk] = (k1+1,
+        w0+w+span)``, plus the closure operand ``inner[w] = (w0+w+1,
+        w0+w+span-1)`` (``None`` below span 2).  Operands are read-only.
+        With ``si`` / ``sj`` the byte strides of ``i1`` / ``j1``, ``w``
+        steps by ``si + sj``, ``A``'s splits by ``sj`` and ``B``'s by ``si``.
+        """
+        nb, m, K = w1 - w0, self.m, span
+        packed = self.table.packed
+        sj, row, it = packed.strides
+        si = self.n * sj
+        diag = si + sj  # one window down the diagonal
+
+        def view(i1, j1, shape, strides, writeable=False):
+            # np.ndarray over the buffer, not as_strided: the latter's
+            # per-call interface objects grew RSS by ~0.5 MB per 1000 runs
+            off = self.table.offset(i1, j1) * sj
+            v = np.ndarray(shape, packed.dtype, buffer=packed, offset=off, strides=strides)
+            v.flags.writeable = writeable
+            return v
+
+        g = view(w0, w0 + span, (nb, m, m), (diag, row, it), writeable=True)
+        A = view(w0, w0, (nb, K, m, m), (diag, sj, row, it))
+        AT = view(w0, w0, (nb, K, m, m), (diag, sj, it, row))
+        # span 0 has no splits: anchor the empty B stack on a valid window
+        B = view(min(w0 + 1, w0 + span), w0 + span, (nb, K, m, m), (diag, si, row, it))
+        inner = None
+        if span >= 2:
+            inner = view(w0 + 1, w0 + span - 1, (nb, m, m), (diag, row, it))
+        return g, A, AT, B, inner
 
     def _exec_tile(self, tile: tuple[int, int]) -> dict | None:
         """Compute the windows of one (diagonal, block) tile.
@@ -246,10 +261,8 @@ class TiledExecutor:
         w1 = min(w0 + self.wb, n - span)
         if w0 >= w1:
             return None
-        # resume prefixes are whole diagonals: republish mirrors, skip compute
+        # resume prefixes are whole diagonals, already in the table
         if (w0, w0 + span) in self._done:
-            for i1 in range(w0, w1):
-                self._publish(i1, i1 + span, self.table.inner(i1, i1 + span))
             return {"resumed": True, "windows": w1 - w0, "span": span}
         # robustness hooks, per window in deterministic order
         for i1 in range(w0, w1):
@@ -272,32 +285,31 @@ class TiledExecutor:
 
     def _compute_block(self, span: int, w0: int, w1: int, sc: _TileScratch) -> None:
         inp = self.inp
-        n, m = self.n, self.m
+        m = self.m
         nb = w1 - w0
         # ⊗ is plain + for both engine semirings; only ⊕ varies (max or
         # logaddexp).  Each candidate below appears in exactly one ⊕, so
         # the same schedule is valid for non-idempotent sums.
         add, maximum = np.add, self.sr.add
         reduce = self.sr.add_reduce
-        g = sc.gbuf[:nb]
+        for i1 in range(w0, w1):
+            self.table.alloc(i1, i1 + span)
+        g, A, AT, B, inner = self._block_views(span, w0, w1)
+        tmp = sc.tbuf[: nb * m * m].reshape(nb, m, m)
 
         if span == 0:
             for w in range(nb):
                 add(self._s2_ut, inp.s1[w0 + w, w0 + w], out=g[w])
-            self._finish_block(span, w0, w1, sc, use_iscore=True)
-            for w in range(nb):
-                self._publish(w0 + w, w0 + w, g[w])
+            self._finish_block(span, w0, w1, g, sc, use_iscore=True)
             return
 
         K = span
         L = nb * K
-        AT = self.atw[w0:w1, :span]  # (nb, K, m, m): AT[w, kk] = (w0+w, w0+w+kk).T
-        Bs = self.sqcs[span + w0 : span + w1, :span][:, ::-1]  # shifted (w+kk+1, w+span)
-        Br = self.sqcr[span + w0 : span + w1, :span][:, ::-1]
         g.fill(NEG_INF)
 
         # R0: per inner-k2 step, one rank-2 batched GEMM over every
-        # (window, split) of the tile, then a split-axis max reduction
+        # (window, split) of the tile, then a split-axis max reduction;
+        # the split-shifted right operand row k is B's row k + 1
         a2 = sc.a2[:L]
         b2 = sc.b2[:L]
         for k in range(m - 1):
@@ -305,7 +317,7 @@ class TiledExecutor:
             c0 = k + 1
             wd = m - c0
             np.copyto(a2[:, 0, :rows].reshape(nb, K, rows), AT[:, :, k, :rows])
-            np.copyto(b2[:, 1, :wd].reshape(nb, K, wd), Bs[:, :, k, c0:])
+            np.copyto(b2[:, 1, :wd].reshape(nb, K, wd), B[:, :, k + 1, c0:])
             t = sc.tbuf[: L * rows * wd].reshape(L, rows, wd)
             np.matmul(a2[:, :, :rows].transpose(0, 2, 1), b2[:, :, :wd], out=t)
             t4 = t.reshape(nb, K, rows, wd)
@@ -314,45 +326,33 @@ class TiledExecutor:
             ablk = g[:, :rows, c0:]
             maximum(ablk, rblk, out=ablk)
 
-        # R3 (batched bias reduce over raw right operands) + R4 (left
-        # operands are contiguous packed-row slabs of the F table)
+        # R3 (right operands + S1[i1, k1]) and R4 (left operands +
+        # S1[k1+1, j1]), each streamed over the splits into rbuf
         s1l = sc.s1l[:nb, :K]
         s1r = sc.s1r[:nb, :K]
         for kk in range(K):
             s1l[:, kk, 0, 0] = inp.s1.diagonal(kk)[w0:w1]
             s1r[:, kk, 0, 0] = inp.s1.diagonal(span - 1 - kk)[1 + kk + w0 : 1 + kk + w1]
-        tf = sc.tbuf[: L * m * m].reshape(nb, K, m, m)
-        add(Br, s1l, out=tf)
-        reduce(tf, axis=1, out=sc.rbuf[:nb])
-        maximum(g, sc.rbuf[:nb], out=g)
-        packed = self.table.packed
-        for w in range(nb):
-            i1 = w0 + w
-            off = self.table.offset(i1, i1)
-            a = packed[off : off + K]
-            tw = tf[0]
-            add(a, s1r[w], out=tw)
-            reduce(tw, axis=0, out=sc.rbuf[0])
-            maximum(g[w], sc.rbuf[0], out=g[w])
+        acc = sc.rbuf[:nb]
+        for ops, bias in ((B, s1l), (A, s1r)):
+            add(ops[:, 0], bias[:, 0], out=acc)
+            for kk in range(1, K):
+                add(ops[:, kk], bias[:, kk], out=tmp)
+                maximum(acc, tmp, out=acc)
+            maximum(g, acc, out=g)
 
         # closure of the (i1, j1) pair + independent folds
         sc1 = np.ascontiguousarray(inp.score1.diagonal(span)[w0:w1]).reshape(nb, 1, 1)
         s1v = np.ascontiguousarray(inp.s1.diagonal(span)[w0:w1]).reshape(nb, 1, 1)
-        c3 = sc.c3buf[:nb]
-        if span == 1:
-            add(self._s2_ut[None], sc1, out=c3)
-        else:
-            add(self.sqcr[span - 1 + w0 : span - 1 + w1, span - 2], sc1, out=c3)
-        maximum(g, c3, out=g)
-        add(self._s2_ut[None], s1v, out=c3)
-        maximum(g, c3, out=g)
+        add(self._s2_ut[None] if inner is None else inner, sc1, out=tmp)
+        maximum(g, tmp, out=g)
+        add(self._s2_ut[None], s1v, out=tmp)
+        maximum(g, tmp, out=g)
 
-        self._finish_block(span, w0, w1, sc, use_iscore=False)
-        for w in range(nb):
-            self._publish(w0 + w, w0 + w + span, g[w])
+        self._finish_block(span, w0, w1, g, sc, use_iscore=False)
 
     def _finish_block(
-        self, span: int, w0: int, w1: int, sc: _TileScratch, use_iscore: bool
+        self, span: int, w0: int, w1: int, g: np.ndarray, sc: _TileScratch, use_iscore: bool
     ) -> None:
         """Finish-rows (R1 + collapsed R2 + closure-2) for a whole block.
 
@@ -364,9 +364,6 @@ class TiledExecutor:
         inp = self.inp
         m = self.m
         nb = w1 - w0
-        g = sc.gbuf[:nb]
-        fin = sc.finbuf[:nb]
-        fin2 = sc.fin2buf[:nb]
         row_full = sc.rowbuf[:nb]
         scr = sc.scrbuf[:nb]
         add, maximum = np.add, self.sr.add
@@ -386,7 +383,7 @@ class TiledExecutor:
                     g[:, i2, i2] = iscore_rows[:, i2]
                 continue
             w = m - i2
-            f = fin[:, : kspan + 2, :w]
+            f = sc.tbuf[: nb * (kspan + 2) * w].reshape(nb, kspan + 2, w)
             add(self._fin_r1[i2][None], g[:, i2 + 1 : m, i2:], out=f[:, :kspan])
             add(g[:, i2 + 1, i2 : m - 1], self._fin_clo[i2][None], out=f[:, kspan, 1:])
             f[:, kspan, 0] = NEG_INF
@@ -411,7 +408,7 @@ class TiledExecutor:
                     growb[:, j2] = maximum(growb[:, j2], reduce(cand, axis=1))
                 continue
             row[:, 0] = d
-            f2 = fin2[:, :kspan, :kspan]
+            f2 = sc.tbuf[: nb * kspan * kspan].reshape(nb, kspan, kspan)
             add(row[:, :kspan, None], self._fin_r2[i2][None], out=f2)
             reduce(f2, axis=1, out=scr[:, :kspan])
             maximum(row[:, 1:], scr[:, :kspan], out=g[:, i2, i2 + 1 :])

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 
 from typing import TYPE_CHECKING
 
-from ..core.engine import ENGINES
+from ..core.engine import DEFAULT_VARIANT, ENGINES
 from ..robust.errors import BpmaxError
 from ..rna.alphabet import normalize
 from ..rna.scoring import DEFAULT_MODEL, ScoringModel
@@ -95,7 +95,7 @@ class SubmitRequest:
     seq1: str
     seq2: str
     id: str = ""
-    variant: str = "hybrid-tiled"
+    variant: str = DEFAULT_VARIANT
     backend: str | None = None
     model: ScoringModel = DEFAULT_MODEL
     semiring: str = "max-plus"
@@ -298,7 +298,7 @@ def request_from_dict(data: dict[str, Any], where: str = "request") -> SubmitReq
         seq1=data["seq1"],
         seq2=data["seq2"],
         id=str(data.get("id", "")),
-        variant=str(data.get("variant", "hybrid-tiled")),
+        variant=str(data.get("variant", DEFAULT_VARIANT)),
         backend=data.get("backend"),
         semiring=semiring,
         structure=bool(data.get("structure", False)),
@@ -321,7 +321,7 @@ def request_wire_dict(req: SubmitRequest) -> dict[str, Any]:
     d: dict[str, Any] = {"seq1": req.seq1, "seq2": req.seq2}
     if req.id:
         d["id"] = req.id
-    if req.variant != "hybrid-tiled":
+    if req.variant != DEFAULT_VARIANT:
         d["variant"] = req.variant
     if req.backend is not None:
         d["backend"] = req.backend

@@ -293,6 +293,7 @@ class _Worker:
         "req_q",
         "res_conn",
         "last_hb",
+        "ready",
         "inflight",
         "queue",
         "state",  # "live" | "failed"
@@ -307,6 +308,7 @@ class _Worker:
         self.req_q = None
         self.res_conn = None
         self.last_hb = time.monotonic()
+        self.ready = threading.Event()
         self.inflight: dict[int, _Task] = {}
         self.queue: list[tuple[int, int, _Task]] = []
         self.state = "live"
@@ -399,7 +401,9 @@ class ShardScheduler(ServingLifecycle):
         overtake and death re-routing has little to replay.
     cache_size: per-worker LRU result-cache capacity.
     heartbeat_timeout_s: staleness window after which a worker whose
-        heartbeats (every :data:`HEARTBEAT_S`) stopped counts as frozen.
+        heartbeats (every :data:`HEARTBEAT_S`) stopped counts as frozen;
+        also bounds the constructor's wait for every worker's first
+        heartbeat (a worker silent past it goes down like a dead one).
     hang_timeout_s: per-request wall bound after dispatch; an in-flight
         request older than this marks the worker as hung.
     max_reroutes: death re-route budget per request before it fails
@@ -466,6 +470,16 @@ class ShardScheduler(ServingLifecycle):
         )
         self._reaper.start()
         self._monitor.start()
+        # start-up handshake: return only once every worker has imported
+        # the package and sent its first heartbeat, so process start-up
+        # never lands in request latency; a silent worker counts as dead
+        until = time.monotonic() + heartbeat_timeout_s
+        for w in self._workers:
+            epoch, ready = w.epoch, w.ready
+            if not ready.wait(max(0.0, until - time.monotonic())) and w.epoch == epoch:
+                self._worker_down(
+                    w, f"no heartbeat within {heartbeat_timeout_s:g}s of start"
+                )
 
     # -- worker lifecycle -----------------------------------------------------
 
@@ -498,6 +512,7 @@ class ShardScheduler(ServingLifecycle):
                 self._retired.append(w.res_conn)
             w.res_conn = recv_conn
         w.last_hb = time.monotonic()
+        w.ready = threading.Event()
         w.state = "live"
 
     def _routable(self) -> list[int]:
@@ -631,6 +646,7 @@ class ShardScheduler(ServingLifecycle):
                 w = self._workers[shard]
                 if epoch == w.epoch:
                     w.last_hb = time.monotonic()
+                    w.ready.set()
             return
         _, shard, epoch, token, result = msg
         with self._lock:

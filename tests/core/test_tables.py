@@ -56,6 +56,80 @@ class TestFTable:
             FTable(2, 2, layout="option3")
 
 
+class TestSquareIndex:
+    """Windows live in an ``(n, n, m, m)`` buffer indexed ``[i1, j1]``."""
+
+    def test_offset_is_square_index(self):
+        t = FTable(4, 3)
+        assert [t.offset(i1, j1) for i1, j1 in t.windows()] == [
+            i1 * 4 + j1 for i1, j1 in t.windows()
+        ]
+        assert t.packed.shape == (16, 3, 3)
+        g = t.alloc(1, 3)
+        g[0, 2] = 5.0
+        assert t.packed[t.offset(1, 3)][0, 2] == 5.0
+        assert np.shares_memory(g, t.packed)
+
+    def test_row_slab_is_contiguous_row(self):
+        t = FTable(4, 2)
+        for w in t.windows():
+            t.alloc(*w)[0, 1] = 10 * w[0] + w[1]
+        slab = t.row_slab(1, 1, 3)
+        assert slab.flags.c_contiguous
+        assert [float(s[0, 1]) for s in slab] == [11.0, 12.0, 13.0]
+        with pytest.raises(IndexError, match="leaves the outer row"):
+            t.row_slab(1, 2, 3)
+
+    def test_below_diagonal_is_zero_and_never_addressed(self):
+        t = FTable(5, 4)
+        for w in t.windows():
+            t.alloc(*w).fill(1.0)
+        square = t.packed.reshape(5, 5, 4, 4)
+        for i1 in range(5):
+            for j1 in range(5):
+                want = 1.0 if i1 <= j1 else 0.0
+                assert (square[i1, j1] == want).all(), (i1, j1)
+        for i1, j1 in ((1, 0), (4, 2)):
+            with pytest.raises(IndexError, match="outer"):
+                t.offset(i1, j1)
+            with pytest.raises(IndexError, match="outer"):
+                t.alloc(i1, j1)
+
+    def test_fresh_upper_half_is_fill(self):
+        t = FTable(3, 2, dtype=np.float64)
+        square = t.packed.reshape(3, 3, 2, 2)
+        for i1 in range(3):
+            assert np.isneginf(square[i1, i1:]).all()
+            assert (square[i1, :i1] == 0).all()
+
+    def test_free_refills_only_the_window(self):
+        t = FTable(3, 2)
+        t.alloc(0, 2).fill(3.0)
+        t.alloc(0, 1).fill(4.0)
+        t.free(0, 2)
+        assert not t.has(0, 2)
+        assert np.isneginf(t.packed[t.offset(0, 2)]).all()
+        assert (t.inner(0, 1) == 4.0).all()
+
+    def test_accounting_counts_triangle_only(self):
+        t = FTable(4, 10)
+        for w in t.windows():
+            t.alloc(*w)
+        assert t.bytes_allocated() == 10 * 10 * 10 * 4
+        assert t.bytes_touched() == 10 * 55 * 4
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        from repro.core.api import bpmax
+        from repro.robust.checkpoint import CheckpointManager
+
+        path = tmp_path / "ck.npz"
+        res = bpmax("GCGCUA", "UAGCGC", checkpoint=path)
+        fresh = FTable(res.n, res.m)
+        restored = CheckpointManager(path, res.inputs).load(fresh)
+        assert restored == frozenset(res.table.windows())
+        np.testing.assert_array_equal(fresh.packed, res.table.packed)
+
+
 class TestMemoryAccounting:
     def test_allocated_vs_touched(self):
         """The paper's §IV-B-c point: the box allocates ~2x what the

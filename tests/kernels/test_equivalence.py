@@ -262,7 +262,9 @@ class TestPersistentPool:
                 super().close()
 
         monkeypatch.setattr(vec, "ParallelRunner", CountingRunner)
-        eng = VectorizedBPMax(medium_inputs, variant="batched", threads=2)
+        eng = VectorizedBPMax(
+            medium_inputs, variant="batched", backend="numpy-batched", threads=2
+        )
         eng.run()
         assert len(created) == 1
         assert created[0].closed
@@ -275,7 +277,7 @@ class TestPersistentPool:
             raise AssertionError("serial run must not build a thread pool")
 
         monkeypatch.setattr(vec, "ParallelRunner", boom)
-        VectorizedBPMax(small_inputs, variant="batched").run()
+        VectorizedBPMax(small_inputs, variant="batched", backend="numpy-batched").run()
 
 
 class TestShiftedCache:

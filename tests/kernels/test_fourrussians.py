@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.engine import make_engine
 from repro.core.reference import bpmax_recursive, prepare_inputs
-from repro.kernels import BACKENDS
+from repro.kernels import BACKENDS, DEFAULT_BACKEND
 from repro.kernels.autotune import (
     default_candidates,
     default_q_candidates,
@@ -234,7 +234,8 @@ class TestEngineFallback:
         note = engine.backend_note
         assert note is not None
         assert note["requested"] == "fourrussians"
-        assert note["resolved"] == "numpy-batched"
+        assert note["resolved"] == BACKENDS["fourrussians"].fallback
+        assert note["resolved"] == DEFAULT_BACKEND
         assert "not integers" in note["reason"]
 
     def test_fallback_score_is_correct(self):
@@ -363,7 +364,7 @@ class TestRegistration:
         assert b.capabilities.get("bounded_scores")
         assert b.capabilities.get("workspace_reuse")
         assert b.capabilities.get("autotune")
-        assert b.fallback == "numpy-batched"
+        assert b.fallback == DEFAULT_BACKEND
 
 
 # -- autotune ------------------------------------------------------------------

@@ -73,7 +73,7 @@ class TestBackendRegistration:
 class TestBitIdentity:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_threads_bit_identical_tables(self, medium_inputs, threads):
-        ref = make_engine(medium_inputs, variant="batched")
+        ref = make_engine(medium_inputs, variant="batched", backend="numpy-batched")
         tiled = make_engine(
             medium_inputs, variant="batched", backend="tiled", threads=threads
         )
@@ -102,7 +102,7 @@ class TestBitIdentity:
 
     def test_op_counts_match_batched(self, medium_inputs):
         with collecting() as ref_c:
-            make_engine(medium_inputs, variant="batched").run()
+            make_engine(medium_inputs, variant="batched", backend="numpy-batched").run()
         with collecting() as tiled_c:
             make_engine(
                 medium_inputs, variant="batched", backend="tiled", threads=2
@@ -113,15 +113,77 @@ class TestBitIdentity:
         assert tiled_c.tile_wavefronts > 0
         assert ref_c.tiles_executed == 0
 
-    def test_mirror_cap_falls_back_to_batched_path(self, small_inputs, monkeypatch):
+    def test_scratch_cap_falls_back_to_batched_path(self, small_inputs, monkeypatch):
         """Over-cap problems run the per-window path, still exact."""
         import repro.kernels.tiled_backend as tb
 
-        monkeypatch.setattr(tb, "MIRROR_BYTES_CAP", 0)
-        assert not TiledExecutor.fits(small_inputs.n, small_inputs.m)
+        n, m = small_inputs.n, small_inputs.m
+        tiled_score = make_engine(small_inputs, variant="batched", backend="tiled").run()
+        monkeypatch.setattr(tb, "SCRATCH_BYTES_CAP", 0)
+        assert not TiledExecutor.fits(n, m, 4, 1, n)
         expected = bpmax_recursive(small_inputs)
-        got = make_engine(small_inputs, variant="batched", backend="tiled").run()
-        assert got == expected
+        with collecting() as c:
+            got = make_engine(small_inputs, variant="batched", backend="tiled").run()
+        assert got == expected == tiled_score
+        assert c.tiles_executed == 0
+
+    def test_fits_refuses_paper_shape_by_arithmetic(self, monkeypatch):
+        """16 x 2500 (the paper's workload) is refused from shapes alone."""
+        import repro.kernels.tiled_backend as tb
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("fits() must not allocate")
+
+        monkeypatch.setattr(tb.np, "empty", no_alloc)
+        monkeypatch.setattr(tb.np, "zeros", no_alloc)
+        wb = heuristic_block(16, 2500, 1)
+        assert wb == 16
+        assert not TiledExecutor.fits(16, 2500, 4, 1, wb)
+        assert TiledExecutor.fits(16, 64, 4, 1, 16)
+        # the footprint is per worker slot: threads multiply it
+        per_slot = tb._TileScratch.footprint(16, 16, 64, 4)
+        monkeypatch.setattr(tb, "SCRATCH_BYTES_CAP", 2 * per_slot)
+        assert TiledExecutor.fits(16, 64, 4, 2, 16)
+        assert not TiledExecutor.fits(16, 64, 4, 3, 16)
+        assert not TiledExecutor.fits(16, 64, 8, 2, 16)
+
+    def test_scratch_footprint_matches_allocation(self):
+        import repro.kernels.tiled_backend as tb
+
+        for wb, n, m, dtype in ((16, 16, 64, np.float32), (3, 7, 5, np.float64)):
+            sc = tb._TileScratch(wb, n, m, dtype=dtype)
+            itemsize = np.dtype(dtype).itemsize
+            assert sc.nbytes() == tb._TileScratch.footprint(wb, n, m, itemsize)
+
+
+class TestTableViews:
+    def test_block_views_equal_table_windows(self):
+        """Every operand view is exactly the table window it names."""
+        s1, s2 = random_pair(5, 7, 23)
+        inp = prepare_inputs(s1, s2)
+        engine = make_engine(inp, variant="batched", backend="tiled")
+        engine.run()
+        table = engine.table
+        ex = TiledExecutor(engine, wb=2)
+        n = inp.n
+        for span in range(n):
+            for w0 in range(0, n - span, 2):
+                w1 = min(w0 + 2, n - span)
+                g, A, AT, B, inner = ex._block_views(span, w0, w1)
+                assert g.flags.writeable
+                assert not (A.flags.writeable or AT.flags.writeable or B.flags.writeable)
+                assert A.shape == B.shape == (w1 - w0, span, 7, 7)
+                assert (inner is None) == (span < 2)
+                for w in range(w1 - w0):
+                    i1, j1 = w0 + w, w0 + w + span
+                    np.testing.assert_array_equal(g[w], table.inner(i1, j1))
+                    for kk in range(span):
+                        k1 = i1 + kk
+                        np.testing.assert_array_equal(A[w, kk], table.inner(i1, k1))
+                        np.testing.assert_array_equal(AT[w, kk], table.inner(i1, k1).T)
+                        np.testing.assert_array_equal(B[w, kk], table.inner(k1 + 1, j1))
+                    if inner is not None:
+                        np.testing.assert_array_equal(inner[w], table.inner(i1 + 1, j1 - 1))
 
 
 class TestResumeAndFaults:
@@ -299,7 +361,7 @@ class TestWorkspaceQuantum:
 
     def test_workspace_bytes_gauge(self, small_inputs):
         with collecting() as c:
-            make_engine(small_inputs, variant="batched").run()
+            make_engine(small_inputs, variant="batched", backend="numpy-batched").run()
         assert c.workspace_bytes > 0
 
     def test_tiled_reports_scratch_high_water(self, small_inputs):

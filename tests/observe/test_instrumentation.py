@@ -21,7 +21,7 @@ from repro.robust.retry import retry
 class TestEngineSpans:
     def test_run_window_kernel_span_hierarchy(self):
         with tracing() as tr:
-            bpmax("GCGCA", "CGCG", variant="batched")
+            bpmax("GCGCA", "CGCG", variant="batched", backend="numpy-batched")
         names = {r.name for r in tr.spans()}
         assert {"bpmax", "engine.run", "engine.window", "r0.batched"} <= names
         run = tr.spans("engine.run")[0]

@@ -114,7 +114,7 @@ class TestSlabAccounting:
         s1, s2 = random_pair(6, m, 5)
         inp = prepare_inputs(s1, s2)
         with collecting() as c:
-            make_engine(inp, "batched").run()
+            make_engine(inp, "batched", backend="numpy-batched").run()
         assert c.slabs_total > 0
         expected_touch = (m * m - 1) / (6 * m * m)
         assert c.slab_skip_fraction() == pytest.approx(1 - expected_touch)
@@ -132,7 +132,7 @@ class TestSlabAccounting:
         s1, s2 = random_pair(4, m, 9)
         inp = prepare_inputs(s1, s2)
         with collecting() as c:
-            make_engine(inp, "batched").run()
+            make_engine(inp, "batched", backend="numpy-batched").run()
         assert c.slabs_skipped > 0
         assert c.slabs_skipped < c.slabs_total
 
@@ -141,7 +141,7 @@ class TestSlabAccounting:
         s1, s2 = random_pair(5, 6, 21)
         inp = prepare_inputs(s1, s2)
         with collecting() as c:
-            make_engine(inp, "batched").run()
+            make_engine(inp, "batched", backend="numpy-batched").run()
         assert c.slab_cells_touched == c.ops_r0
 
 
@@ -167,7 +167,7 @@ class TestWorkspaceAccounting:
         """Regression: a warmed engine's hot path allocates nothing."""
         s1, s2 = random_pair(6, 5, 13)
         inp = prepare_inputs(s1, s2)
-        engine = make_engine(inp, "batched")
+        engine = make_engine(inp, "batched", backend="numpy-batched")
         first = engine.run()  # warm-up: grows to the high-water mark
         with collecting() as c:
             second = engine.run()

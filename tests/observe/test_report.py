@@ -99,7 +99,9 @@ class TestRender:
 
 class TestApiIntegration:
     def test_bpmax_metrics_attaches_report(self):
-        result = bpmax("GCGC", "GCGC", variant="batched", metrics=True)
+        result = bpmax(
+            "GCGC", "GCGC", variant="batched", backend="numpy-batched", metrics=True
+        )
         rep = result.report
         assert rep is not None
         assert rep.deviations() == {}

@@ -62,7 +62,7 @@ class TestAnyBackendMatchesReference:
     def test_matches_oracle_and_batched_tables(self, backend, seq1, seq2):
         inp = prepare_inputs(seq1, seq2)
         eng = make_engine(inp, variant="batched", backend=backend)
-        ref = make_engine(inp, variant="batched")
+        ref = make_engine(inp, variant="batched", backend="numpy-batched")
         score = eng.run()
         assert score == bpmax_recursive(inp)
         assert score == ref.run()
@@ -75,7 +75,7 @@ class TestAnyBackendMatchesReference:
         inp = prepare_inputs(seq1, seq2, semiring="logsumexp")
         eng = make_engine(inp, variant="batched", backend=backend)
         got = eng.run()
-        ref = make_engine(inp, variant="batched").run()
+        ref = make_engine(inp, variant="batched", backend="numpy-batched").run()
         assert got == pytest.approx(ref, abs=1e-9)
         if "logsumexp" not in BACKENDS[backend].semirings:
             assert eng.backend_note["requested"] == backend
@@ -92,7 +92,7 @@ class TestBackendKnobsNeverChangeResults:
     )
     def test_tiled_any_window_block_and_threads(self, seq1, seq2, wb, threads):
         inp = prepare_inputs(seq1, seq2)
-        ref = make_engine(inp, variant="batched")
+        ref = make_engine(inp, variant="batched", backend="numpy-batched")
         expected = ref.run()
         eng = make_engine(inp, variant="batched", backend="tiled", threads=threads)
         assert TiledExecutor(eng, wb=wb).run() == expected
@@ -107,7 +107,7 @@ class TestBackendKnobsNeverChangeResults:
     )
     def test_fourrussians_any_block_width(self, seq1, seq2, q, sparsify):
         inp = prepare_inputs(seq1, seq2)
-        ref = make_engine(inp, variant="batched")
+        ref = make_engine(inp, variant="batched", backend="numpy-batched")
         expected = ref.run()
         eng = VectorizedBPMax(
             inp,

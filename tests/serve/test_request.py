@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.engine import DEFAULT_VARIANT
 from repro.robust.errors import BpmaxError
 from repro.rna.scoring import DEFAULT_MODEL, ScoringModel
 from repro.serve.request import (
@@ -45,7 +46,7 @@ class TestScoringFingerprint:
 class TestSubmitRequestValidation:
     def test_defaults(self):
         r = SubmitRequest("GGGG", "CCCC")
-        assert r.variant == "hybrid-tiled"
+        assert r.variant == DEFAULT_VARIANT
         assert r.backend is None and not r.structure
         assert r.retries == 0 and r.fallback == () and r.deadline_s is None
 
@@ -129,7 +130,7 @@ class TestServeResult:
 class TestRequestFromDict:
     def test_minimal(self):
         r = request_from_dict({"seq1": "G", "seq2": "C"})
-        assert r.seq1 == "G" and r.variant == "hybrid-tiled"
+        assert r.seq1 == "G" and r.variant == DEFAULT_VARIANT
 
     def test_full(self):
         r = request_from_dict(

@@ -112,7 +112,7 @@ class TestRouting:
             assert shard in (0, 1, 2)
             assert all(s.route(req) == shard for _ in range(5))
             # different variants share the answer's content address
-            alt = SubmitRequest("GCAUGC", "AUGCAU", variant="batched")
+            alt = SubmitRequest("GCAUGC", "AUGCAU", variant="hybrid")
             assert cache_key(req) == cache_key(alt)
             assert s.route(alt) == shard
 
@@ -309,6 +309,34 @@ class TestDegradedFallback:
         assert r2.ok and r2.score == bpmax("GCAUGC", "AUGCAU").score
         assert r2.shard == -2
         assert st["degraded_requests"] >= 1
+
+
+class TestStartupHandshake:
+    def test_every_shard_reported_before_constructor_returns(self):
+        """Worker start-up is paid in the constructor, not by the first
+        requests: each generation has sent its first heartbeat."""
+        s = ShardScheduler(shards=2, heartbeat_timeout_s=HB_TIMEOUT)
+        try:
+            assert [w.ready.is_set() for w in s._workers] == [True, True]
+            st = s.stats
+            assert st["deaths"] == 0
+            assert [w["epoch"] for w in st["workers"]] == [0, 0]
+        finally:
+            s.close()
+
+    def test_silent_worker_fails_like_a_dead_one(self):
+        """No first heartbeat within the timeout: the worker goes down
+        through the death path (here: no respawn budget -> degraded)."""
+        with ShardScheduler(
+            shards=1, max_respawns=0, heartbeat_timeout_s=1e-3
+        ) as s:
+            assert s.degraded
+            (r,) = s.serve_all([SubmitRequest("GGGG", "CCCC", id="late")])
+            st = s.stats
+        assert st["deaths"] == 1
+        assert r.ok and r.score == bpmax("GGGG", "CCCC").score
+        assert r.shard == -2
+        assert not _shard_children()
 
 
 class TestCancellation:
